@@ -1,15 +1,15 @@
 //! E12 — concurrent batch ingestion: the single `Repository` (one lock per
-//! table) vs the `ShardedRepository` (per-shard locks, object-id hash
-//! routing) under four writer threads, the PR-3 contention scenario. Pure
-//! storage: batches are pre-generated so the measurement isolates
-//! `ProductSink::accept`.
+//! table) vs the `SegmentedRepository` (immutable segments, writer-assisted
+//! sealing) under four writer threads. Pure storage: batches are
+//! pre-generated so the measurement isolates `ProductSink::accept` — the
+//! write-path gap between the two backends.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use vita_geometry::Point;
 use vita_indoor::{BuildingId, FloorId, ObjectId, Timestamp};
 use vita_mobility::TrajectorySample;
-use vita_storage::{ProductBatch, ProductSink, Repository, RunScope, ShardedRepository};
+use vita_storage::{ProductBatch, ProductSink, Repository, RunScope, SegmentedRepository};
 
 const WRITERS: usize = 4;
 const OBJECTS: u32 = 64;
@@ -64,9 +64,9 @@ fn bench_ingest(c: &mut Criterion) {
             repo.counts(RunScope::All)
         });
     });
-    g.bench_function("sharded_repository_8", |b| {
+    g.bench_function("segmented_repository", |b| {
         b.iter(|| {
-            let repo = ShardedRepository::new(8);
+            let repo = SegmentedRepository::new();
             ingest(&repo, &batches);
             repo.counts(RunScope::All)
         });

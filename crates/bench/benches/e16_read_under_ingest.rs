@@ -51,7 +51,6 @@ fn populated(backend: StorageBackend) -> Arc<AnyRepository> {
 fn bench_read_under_ingest(c: &mut Criterion) {
     let backends = [
         ("single", StorageBackend::Single),
-        ("sharded_8", StorageBackend::Sharded { shards: 8 }),
         ("segmented", StorageBackend::segmented()),
     ];
     let mut g = c.benchmark_group("e16/read_under_ingest");

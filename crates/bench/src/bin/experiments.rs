@@ -289,16 +289,15 @@ fn e11_streaming_pipeline() {
 }
 
 /// E11s — E11 at ROADMAP scale, now a vita-lab matrix (`specs/e11s.lab`):
-/// the streaming pipeline ingesting 1k/5k/10k objects into the sharded vs
-/// single repository with 4 stage workers. The spec pins the historical
+/// the streaming pipeline ingesting 1k/5k/10k objects into the segmented
+/// vs single repository with 4 stage workers. The spec pins the historical
 /// E11 seed and carries the experiment's core guarantee as
 /// `assert.cross_axis_rows = backend` — the run aborts if the backends'
-/// products diverge. On few-core machines the backends measure at parity
-/// (storage appends are a small slice of pipeline wall-clock); the
-/// sharded win is lock contention under true parallelism — see the
-/// `e12_sharded_ingest` criterion bench on multicore hardware.
+/// products diverge. Storage appends are a small slice of pipeline
+/// wall-clock, so the backends' write-path gap shows diluted here; the
+/// `e12_ingest` criterion bench isolates it.
 fn e11_at_scale() {
-    println!("## E11s — E11 at scale: sharded vs single repository (lab matrix)\n");
+    println!("## E11s — E11 at scale: segmented vs single repository (lab matrix)\n");
     run_lab_text(include_str!("../../specs/e11s.lab"), "specs/e11s.lab");
     println!();
 }
@@ -340,8 +339,8 @@ fn e14_persistence() {
 /// `Vita::serve` while a writer thread keeps `run_many` ingesting new
 /// runs into the same repository. The ramp steps the offered rate until a
 /// step achieves less than 90% of its target; the last sustained step is
-/// the backend's max sustainable RPS. Single vs sharded(8) isolates how
-/// much the per-shard locks buy the read path under write contention.
+/// the backend's max sustainable RPS. Single vs segmented isolates how
+/// much lock-free snapshot reads buy the read path under write contention.
 /// Absolute rates are container-sensitive; compare backends within one
 /// run, not across BENCH files.
 fn e15_query_serving() {
@@ -369,7 +368,6 @@ fn e15_query_serving() {
     let text = e11::office_text();
     let backends = [
         ("single", StorageBackend::Single),
-        ("sharded(8)", StorageBackend::Sharded { shards: 8 }),
         ("segmented", StorageBackend::segmented()),
     ];
     let mut summary = Vec::new();
@@ -446,10 +444,10 @@ fn e15_query_serving() {
 
 /// E16 — fixed-rate read latency under live ingestion: the same mixed
 /// query workload as E15, but pinned at one offered rate (around where
-/// the locked backends saturate in E15's ramp) while a writer thread
-/// keeps `run_many` ingesting — across all three backends. The segmented
+/// the locked backend saturates in E15's ramp) while a writer thread
+/// keeps `run_many` ingesting — across both backends. The segmented
 /// backend answers every query from an epoch-pinned immutable snapshot,
-/// so its read tail should stay flat where the locked backends queue
+/// so its read tail should stay flat where the locked backend queues
 /// behind the writer; the seal / compaction columns count the sealer's
 /// in-step work, confirming it was actually churning during the
 /// measurement, not idle. Each backend's row is the median-p99 rep of
@@ -463,7 +461,7 @@ fn e16_read_under_ingest() {
     use vita_serve::{run_ramp, LoadProfile, WorkloadSpec};
 
     // The fixed rate sits at E15's saturation knee (the last step the
-    // locked backends sustain): high enough that the writer's locks are
+    // locked backend sustains): high enough that the writer's locks are
     // contended, low enough that the step is not in open-loop overload —
     // in overload the percentiles measure queue depth, not the backend.
     const STAGE_WORKERS: usize = 1;
@@ -474,7 +472,7 @@ fn e16_read_under_ingest() {
     /// The pre-ingested corpus samples trajectories at this rate (the live
     /// trickle stays at the 1 Hz default, so offered write load during the
     /// step is unchanged). A corpus of ~60k point rows is what makes the
-    /// locked backends' structural cost visible: any append evicts the
+    /// locked backend's structural cost visible: any append evicts the
     /// touched floor's cached grid, so every spatial query mid-ingest
     /// rebuilds an O(corpus) index, while the segmented backend's sealed
     /// per-segment grids are immutable and never rebuilt.
@@ -502,7 +500,6 @@ fn e16_read_under_ingest() {
     let text = e11::office_text();
     let backends = [
         ("single", StorageBackend::Single),
-        ("sharded(8)", StorageBackend::Sharded { shards: 8 }),
         ("segmented", StorageBackend::segmented()),
     ];
     let mut summary = Vec::new();

@@ -197,7 +197,7 @@ pub mod e11 {
     }
 
     /// The E11-at-scale variant: same workload, explicit stage-worker
-    /// count and storage backend (sharded vs single is the experiment's
+    /// count and storage backend (the backend is the experiment's
     /// independent variable).
     pub fn scenario_with(
         objects: usize,

@@ -41,7 +41,7 @@
 //!
 //! [axis backend]
 //! key = storage.backend
-//! values = single, sharded(8), segmented
+//! values = single, segmented, segmented-spill(4096)
 //!
 //! [axis load]
 //! variant light = objects.count=10 stream.workers=1

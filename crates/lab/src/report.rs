@@ -50,7 +50,7 @@ pub struct TrialRecord {
     pub run: u32,
     /// The trial's derived seed (see [`crate::plan::Trial::seed`]).
     pub seed: u64,
-    /// Backend display form (`single`, `sharded(8)`, …).
+    /// Backend display form (`single`, `segmented`, …).
     pub backend: String,
     /// Stage workers requested (`0` = half the cores).
     pub workers: usize,

@@ -374,7 +374,7 @@ positioning.method = proximity
 
 [axis backend]
 key = storage.backend
-values = single, sharded(4)
+values = single, segmented
 
 [axis workers]
 variant w1 = stream.workers=1
@@ -395,7 +395,7 @@ variant w2 = stream.workers=2
         assert_eq!(axes, ["backend", "workers"]);
         assert_eq!(
             spec.axes[0].variants[1].bindings,
-            vec![("storage.backend".to_string(), "sharded(4)".to_string())]
+            vec![("storage.backend".to_string(), "segmented".to_string())]
         );
         assert_eq!(
             spec.axes[1].variants[0].bindings,

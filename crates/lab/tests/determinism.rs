@@ -33,7 +33,7 @@ fn spec_strategy() -> impl Strategy<Value = Spec> {
                         .expect("scenario props"),
                 })
                 .collect();
-            let backend_pool = ["single", "sharded(2)", "segmented"];
+            let backend_pool = ["single", "segmented", "segmented-spill(64)"];
             let mut axes = Vec::new();
             if n_axes >= 1 {
                 axes.push(Axis {

@@ -23,8 +23,9 @@
 //!   max sustainable RPS ([`RampReport`]).
 //!
 //! Every query answers from a **prefix-consistent snapshot**: each table
-//! read takes that table's read lock (per shard on the sharded backend),
-//! so a response never contains a torn batch — it reflects every batch
+//! read takes that table's read lock (or, on the segmented backend, pins
+//! the table's current immutable snapshot), so a response never contains
+//! a torn batch — it reflects every batch
 //! appended before some point and none after.
 
 pub mod load;

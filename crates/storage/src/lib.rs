@@ -40,30 +40,23 @@
 //!
 //! ## Choosing a backend
 //!
-//! Three [`ProductSink`] backends implement the same contract:
+//! Two [`ProductSink`] backends implement the same contract:
 //!
 //! * [`Repository`] — all four tables behind one `RwLock` each. The right
-//!   default for small runs and single-writer ingestion: lowest constant
-//!   cost, and queries hand out references instead of owned rows.
-//! * [`ShardedRepository`] — each table partitioned by **object-id hash**
-//!   across N shards with per-shard locks, so concurrent stage workers
-//!   appending different objects' batches stop contending on one lock per
-//!   table. Choose it when ≥ 4 workers ingest concurrently or runs reach
-//!   thousands of objects. Shard count: the worker count rounded up to a
-//!   power of two ([`DEFAULT_SHARDS`] = 8 suits the default pipeline);
-//!   more shards only fragment small runs. Reads are rebalance-free
-//!   shard-merges returning the same row sets as the single repository;
-//!   the ordering / batch-size / backpressure contract above is unchanged.
+//!   default for offline runs: lowest constant cost and the fastest write
+//!   path, and queries hand out references instead of owned rows. It is
+//!   also the parity oracle the segmented backend is tested against.
 //! * [`SegmentedRepository`] — each table a list of immutable, run-
 //!   segmented segments published by atomic snapshot swap, with a
 //!   background sealer/compactor building indexes once at seal time (see
 //!   the [`segment`] module docs). Readers pin a snapshot and never block;
 //!   choose it when queries must stay fast *while* ingestion runs (the
-//!   online-serving workload). For purely offline workloads the locked
-//!   backends skip the sealer thread and the per-query merge.
+//!   online-serving workload), or when a memory budget must bound the
+//!   resident rows (its spill tier). For purely offline workloads the
+//!   locked backend skips the sealer thread and the per-query merge.
 //!
 //! [`StorageBackend`] names the choice for configuration surfaces and
-//! [`AnyRepository`] dispatches between the three at runtime (this is what
+//! [`AnyRepository`] dispatches between the two at runtime (this is what
 //! `vita-core`'s pipeline stores).
 //!
 //! ## The run dimension
@@ -98,7 +91,7 @@
 //! come back bit-identical on every run-scoped query path, on either
 //! backend (the `persistence_roundtrip` proptest suite). Both backends
 //! export the same format and import from it:
-//! [`Repository::import`] / [`ShardedRepository::import`] rebuild a
+//! [`Repository::import`] / [`SegmentedRepository::import`] rebuild a
 //! specific backend, [`AnyRepository::import`] rebuilds whichever
 //! [`StorageBackend`] the caller names — which is how run tags survive
 //! backend switches through `Vita::save_to` / `load_from` in `vita-core`.
@@ -110,7 +103,6 @@
 
 pub mod codec;
 pub mod segment;
-pub mod sharded;
 pub mod stream;
 pub mod table;
 
@@ -122,7 +114,6 @@ pub use codec::{
     WireRecord,
 };
 pub use segment::{SegmentConfig, SegmentStats, SegmentedRepository, SpillConfig, SpillError};
-pub use sharded::{ShardedRepository, DEFAULT_SHARDS};
 pub use stream::{downsample, merge_by_time, record_rate, Timed, TumblingWindow};
 pub use table::{FixTable, ProximityTable, RowId, RssiTable, TrajectoryTable};
 
@@ -221,10 +212,6 @@ impl std::ops::Add for TableCounts {
     }
 }
 
-/// Former name of [`TableCounts`]: per-shard count reports predate the
-/// named struct and keep their spelling.
-pub type ShardCounts = TableCounts;
-
 /// One owned batch of a generated data product, as handed from a producer
 /// stage to a [`ProductSink`]. Carrying the `Vec` by value lets sinks move
 /// rows into their tables without intermediate copies.
@@ -254,8 +241,8 @@ impl ProductBatch {
 
 /// Batch ingestion endpoint for pipeline stages (see the crate docs for the
 /// ordering / batch-size / backpressure contract). [`Repository`] is the
-/// canonical implementation; alternative backends (sharded repositories,
-/// async ingestion) implement the same trait.
+/// canonical implementation; [`SegmentedRepository`] implements the same
+/// trait.
 pub trait ProductSink: Send + Sync {
     /// Ingest one owned batch under [`RunId::DEFAULT`] — the single-run
     /// convenience form of [`ProductSink::accept_run`].
@@ -455,8 +442,6 @@ pub enum StorageBackend {
     /// One [`Repository`]: four tables, one `RwLock` each.
     #[default]
     Single,
-    /// A [`ShardedRepository`] with `shards` partitions per table.
-    Sharded { shards: usize },
     /// A [`SegmentedRepository`]: immutable segments, snapshot-pinned
     /// lock-free reads, background sealer/compactor. With a
     /// [`SpillConfig`], sealed segments past the memory budget are
@@ -482,8 +467,8 @@ impl std::fmt::Display for ParseBackendError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown storage backend '{}' (expected single | sharded(N) | \
-             segmented | segmented-spill(BUDGET_ROWS))",
+            "unknown storage backend '{}' (expected single | segmented | \
+             segmented-spill(BUDGET_ROWS))",
             self.0
         )
     }
@@ -492,17 +477,16 @@ impl std::fmt::Display for ParseBackendError {
 impl std::error::Error for ParseBackendError {}
 
 /// The textual backend names used by configuration surfaces (properties
-/// files, `vita-lab` specs, trial records): `single`, `sharded(N)`,
-/// `segmented`, and `segmented-spill(BUDGET_ROWS)`. The spill variant
-/// prints only its row budget — the directory is an operational detail
-/// (and [`std::str::FromStr`] reconstructs it from `VITA_SPILL_DIR` or the
+/// files, `vita-lab` specs, trial records): `single`, `segmented`, and
+/// `segmented-spill(BUDGET_ROWS)`. The spill variant prints only its row
+/// budget — the directory is an operational detail (and
+/// [`std::str::FromStr`] reconstructs it from `VITA_SPILL_DIR` or the
 /// system temp dir), so a backend round-trips through its display form
 /// with the same memory budget.
 impl std::fmt::Display for StorageBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StorageBackend::Single => write!(f, "single"),
-            StorageBackend::Sharded { shards } => write!(f, "sharded({shards})"),
             StorageBackend::Segmented { spill: None } => write!(f, "segmented"),
             StorageBackend::Segmented { spill: Some(c) } => {
                 write!(f, "segmented-spill({})", c.memory_budget_rows)
@@ -511,12 +495,11 @@ impl std::fmt::Display for StorageBackend {
     }
 }
 
-/// Parse the [`std::fmt::Display`] form. `sharded` without a shard count
-/// uses [`DEFAULT_SHARDS`]; `segmented-spill` without a budget uses the
-/// [`SpillConfig::new`] default. The spill directory comes from
-/// `VITA_SPILL_DIR` when set, else `<temp>/vita-spill` — each repository
-/// instance creates (and removes) its own subdirectory underneath, so a
-/// shared parent is safe.
+/// Parse the [`std::fmt::Display`] form. `segmented-spill` without a
+/// budget uses the [`SpillConfig::new`] default. The spill directory
+/// comes from `VITA_SPILL_DIR` when set, else `<temp>/vita-spill` — each
+/// repository instance creates (and removes) its own subdirectory
+/// underneath, so a shared parent is safe.
 impl std::str::FromStr for StorageBackend {
     type Err = ParseBackendError;
 
@@ -531,12 +514,6 @@ impl std::str::FromStr for StorageBackend {
         };
         match (name, arg) {
             ("single", None) => Ok(StorageBackend::Single),
-            ("sharded", None) => Ok(StorageBackend::Sharded {
-                shards: DEFAULT_SHARDS,
-            }),
-            ("sharded", Some(n)) => Ok(StorageBackend::Sharded {
-                shards: n.parse().map_err(|_| err())?,
-            }),
             ("segmented", None) => Ok(StorageBackend::segmented()),
             ("segmented-spill", arg) => {
                 let dir = std::env::var_os("VITA_SPILL_DIR")
@@ -553,15 +530,13 @@ impl std::str::FromStr for StorageBackend {
     }
 }
 
-/// Runtime dispatch between the three [`ProductSink`] backends. Queries
-/// that must work on any backend return owned rows (every product row is
-/// `Copy`); backend-specific surfaces are reachable through
-/// [`AnyRepository::as_single`] / [`AnyRepository::as_sharded`] /
-/// [`AnyRepository::as_segmented`].
+/// Runtime dispatch between the two [`ProductSink`] backends. Queries
+/// that must work on either backend return owned rows (every product row
+/// is `Copy`); backend-specific surfaces are reachable through
+/// [`AnyRepository::as_single`] / [`AnyRepository::as_segmented`].
 #[derive(Debug)]
 pub enum AnyRepository {
     Single(Box<Repository>),
-    Sharded(ShardedRepository),
     Segmented(SegmentedRepository),
 }
 
@@ -569,9 +544,6 @@ impl AnyRepository {
     pub fn new(backend: StorageBackend) -> Self {
         match backend {
             StorageBackend::Single => AnyRepository::Single(Box::new(Repository::new())),
-            StorageBackend::Sharded { shards } => {
-                AnyRepository::Sharded(ShardedRepository::new(shards))
-            }
             StorageBackend::Segmented { spill: None } => {
                 AnyRepository::Segmented(SegmentedRepository::new())
             }
@@ -585,9 +557,6 @@ impl AnyRepository {
     pub fn backend(&self) -> StorageBackend {
         match self {
             AnyRepository::Single(_) => StorageBackend::Single,
-            AnyRepository::Sharded(s) => StorageBackend::Sharded {
-                shards: s.shard_count(),
-            },
             AnyRepository::Segmented(s) => StorageBackend::Segmented {
                 spill: s.spill_config().cloned(),
             },
@@ -597,13 +566,6 @@ impl AnyRepository {
     pub fn as_single(&self) -> Option<&Repository> {
         match self {
             AnyRepository::Single(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    pub fn as_sharded(&self) -> Option<&ShardedRepository> {
-        match self {
-            AnyRepository::Sharded(s) => Some(s),
             _ => None,
         }
     }
@@ -619,18 +581,7 @@ impl AnyRepository {
     pub fn counts(&self, scope: RunScope) -> TableCounts {
         match self {
             AnyRepository::Single(r) => r.counts(scope),
-            AnyRepository::Sharded(s) => s.counts(scope),
             AnyRepository::Segmented(s) => s.counts(scope),
-        }
-    }
-
-    /// Row counts per shard, in shard order (one entry for the unsharded
-    /// backends).
-    pub fn per_shard_counts(&self) -> Vec<ShardCounts> {
-        match self {
-            AnyRepository::Single(r) => vec![r.counts(RunScope::All)],
-            AnyRepository::Sharded(s) => s.per_shard_counts(),
-            AnyRepository::Segmented(s) => s.per_shard_counts(),
         }
     }
 
@@ -638,14 +589,12 @@ impl AnyRepository {
     pub fn run_ids(&self) -> Vec<RunId> {
         match self {
             AnyRepository::Single(r) => r.run_ids(),
-            AnyRepository::Sharded(s) => s.run_ids(),
             AnyRepository::Segmented(s) => s.run_ids(),
         }
     }
 
-    /// Owned copy of the trajectory samples under `scope` (single and
-    /// segmented: insertion order; sharded: shard order — the same row set
-    /// either way).
+    /// Owned copy of the trajectory samples under `scope`, in insertion
+    /// order.
     pub fn trajectories(&self, scope: RunScope) -> Vec<TrajectorySample> {
         match self {
             AnyRepository::Single(r) => {
@@ -655,7 +604,6 @@ impl AnyRepository {
                     Some(run) => t.scan_run(run).into_iter().copied().collect(),
                 }
             }
-            AnyRepository::Sharded(s) => s.trajectories_scan(scope),
             AnyRepository::Segmented(s) => s.trajectories_scan(scope),
         }
     }
@@ -671,7 +619,6 @@ impl AnyRepository {
                     Some(run) => t.scan_run(run).into_iter().copied().collect(),
                 }
             }
-            AnyRepository::Sharded(s) => s.rssi_scan(scope),
             AnyRepository::Segmented(s) => s.rssi_scan(scope),
         }
     }
@@ -687,7 +634,6 @@ impl AnyRepository {
                     Some(run) => t.scan_run(run).into_iter().copied().collect(),
                 }
             }
-            AnyRepository::Sharded(s) => s.fixes_scan(scope),
             AnyRepository::Segmented(s) => s.fixes_scan(scope),
         }
     }
@@ -703,7 +649,6 @@ impl AnyRepository {
                     Some(run) => t.scan_run(run).into_iter().copied().collect(),
                 }
             }
-            AnyRepository::Sharded(s) => s.proximity_scan(scope),
             AnyRepository::Segmented(s) => s.proximity_scan(scope),
         }
     }
@@ -721,14 +666,12 @@ impl AnyRepository {
                 .into_iter()
                 .copied()
                 .collect(),
-            AnyRepository::Sharded(s) => s.trajectories_snapshot_at(scope, t),
             AnyRepository::Segmented(s) => s.trajectories_snapshot_at(scope, t),
         }
     }
 
     /// Trajectory samples in the **half-open** window `from <= t < to`
-    /// under `scope`, time-ordered (ties: single keeps arrival order,
-    /// sharded keeps shard order — the same row set either way).
+    /// under `scope`, time-ordered (ties keep arrival order).
     pub fn time_window(
         &self,
         scope: RunScope,
@@ -743,7 +686,6 @@ impl AnyRepository {
                 .into_iter()
                 .copied()
                 .collect(),
-            AnyRepository::Sharded(s) => s.trajectories_time_window(scope, from, to),
             AnyRepository::Segmented(s) => s.trajectories_time_window(scope, from, to),
         }
     }
@@ -758,14 +700,12 @@ impl AnyRepository {
                 .into_iter()
                 .copied()
                 .collect(),
-            AnyRepository::Sharded(s) => s.object_trace(scope, o),
             AnyRepository::Segmented(s) => s.object_trace(scope, o),
         }
     }
 
-    /// Trajectory samples on `floor` inside `query` under `scope` (single:
-    /// insertion order; sharded: shard order — the same row set either
-    /// way).
+    /// Trajectory samples on `floor` inside `query` under `scope` (the same
+    /// row set on either backend).
     pub fn range_query(
         &self,
         scope: RunScope,
@@ -780,7 +720,6 @@ impl AnyRepository {
                 .into_iter()
                 .copied()
                 .collect(),
-            AnyRepository::Sharded(s) => s.trajectories_range_query(scope, floor, query),
             AnyRepository::Segmented(s) => s.trajectories_range_query(scope, floor, query),
         }
     }
@@ -803,18 +742,16 @@ impl AnyRepository {
                 .into_iter()
                 .map(|(s, d)| (*s, d))
                 .collect(),
-            AnyRepository::Sharded(s) => s.trajectories_knn(scope, floor, p, k),
             AnyRepository::Segmented(s) => s.trajectories_knn(scope, floor, p, k),
         }
     }
 
     /// Serialize every table into one buffer per table, run-segmented:
-    /// either backend produces the same wire format, importable by any of
-    /// the three `import` constructors.
+    /// either backend produces the same wire format, importable by either
+    /// `import` constructor.
     pub fn export(&self) -> RepositoryExport {
         match self {
             AnyRepository::Single(r) => r.export(),
-            AnyRepository::Sharded(s) => s.export(),
             AnyRepository::Segmented(s) => s.export(),
         }
     }
@@ -826,9 +763,6 @@ impl AnyRepository {
     pub fn import(export: &RepositoryExport, backend: StorageBackend) -> Result<Self, CodecError> {
         Ok(match backend {
             StorageBackend::Single => AnyRepository::Single(Box::new(Repository::import(export)?)),
-            StorageBackend::Sharded { shards } => {
-                AnyRepository::Sharded(ShardedRepository::import(export, shards)?)
-            }
             StorageBackend::Segmented { spill: None } => {
                 AnyRepository::Segmented(SegmentedRepository::import(export)?)
             }
@@ -849,7 +783,6 @@ impl ProductSink for AnyRepository {
     fn accept_run(&self, run: RunId, batch: ProductBatch) {
         match self {
             AnyRepository::Single(r) => r.accept_run(run, batch),
-            AnyRepository::Sharded(s) => s.accept_run(run, batch),
             AnyRepository::Segmented(s) => s.accept_run(run, batch),
         }
     }

@@ -1,11 +1,10 @@
 //! The segmented storage backend: immutable run-segmented segments with
 //! epoch-pinned snapshot reads and a background sealer/compactor.
 //!
-//! [`Repository`](crate::Repository) and
-//! [`ShardedRepository`](crate::ShardedRepository) both sit readers and
-//! writers on the same `RwLock`s, so under live ingestion the read tail
-//! inherits every writer pause — and each append throws away cached
-//! spatial indexes, forcing O(n) rebuilds mid-ingest. This module takes
+//! [`Repository`](crate::Repository) sits readers and writers on the
+//! same `RwLock`s, so under live ingestion the read tail inherits every
+//! writer pause — and each append throws away cached spatial indexes,
+//! forcing O(n) rebuilds mid-ingest. This module takes
 //! the modern-engine answer instead: make the data immutable and publish
 //! it by pointer swap.
 //!
@@ -29,8 +28,8 @@
 //! answers *bit-identical* to the single [`Repository`](crate::Repository)
 //! under deterministic ingestion — arrival order is reconstructed from
 //! the seqs no matter how sealing and compaction have rearranged the
-//! physical rows. The cross-backend parity suites hold all three backends
-//! to that standard.
+//! physical rows. The cross-backend parity suites hold the segmented
+//! backend to that standard.
 //!
 //! ## Tiered storage (spill)
 //!
@@ -78,7 +77,7 @@ use crate::codec::{
 };
 use crate::{
     borrow_sections, run_sections, CodecError, ProductBatch, ProductSink, RepositoryExport,
-    RunScope, ShardCounts, TableCounts,
+    RunScope, TableCounts,
 };
 
 /// Per-table arrival stamp; ties in every query order by it, which is what
@@ -1984,7 +1983,7 @@ impl SegInner {
 
     /// Append one batch; when the unsealed backlog crosses `seal_rows`,
     /// the *writer* seals it inline. This paces index work to ingestion —
-    /// the same place the locked backends pay it, but without a read lock
+    /// the same place the locked backend pays it, but without a read lock
     /// anywhere — instead of letting it burst on the background thread.
     /// On one-core hosts a background burst evicts the query threads and
     /// lands straight in their tail latency; writer-side sealing also
@@ -2076,8 +2075,9 @@ fn sealer_loop(inner: &SegInner) {
 /// Readers pin a snapshot per query and never block — not on ingestion,
 /// not on sealing — while writers pay O(segment count) pointer copies per
 /// batch and no index maintenance at all. Choose it when queries must stay
-/// fast *while* `run_many` ingests; prefer the locked backends for purely
-/// offline workloads, which skip the sealer thread.
+/// fast *while* `run_many` ingests; prefer the locked
+/// [`Repository`](crate::Repository) for purely offline workloads, which
+/// skips the sealer thread.
 ///
 /// # Examples
 ///
@@ -2286,12 +2286,6 @@ impl SegmentedRepository {
             fixes: self.inner.fixes.pin().len(scope),
             proximity: self.inner.proximity.pin().len(scope),
         }
-    }
-
-    /// The whole-repository counts, shaped like one shard (the segmented
-    /// backend does not partition).
-    pub fn per_shard_counts(&self) -> Vec<ShardCounts> {
-        vec![self.counts(RunScope::All)]
     }
 
     /// Every run with at least one row in any table, ascending.

@@ -2,8 +2,9 @@
 //! for a fixed seed, [`Vita::run_streaming`] must leave identical counts
 //! and bit-identical fix / proximity sets behind whether it ingests into
 //! the single [`vita_storage::Repository`] or a
-//! [`vita_storage::ShardedRepository`] — at ≥ 4 concurrent stage workers,
-//! where the per-table lock of the single backend is actually contended.
+//! [`vita_storage::SegmentedRepository`] — at ≥ 4 concurrent stage
+//! workers, where the per-table lock of the single backend is actually
+//! contended and the segmented backend's writers seal inline.
 
 use vita_core::prelude::*;
 
@@ -46,10 +47,10 @@ fn scenario(method: MethodConfig, backend: StorageBackend) -> ScenarioConfig {
 }
 
 /// Run the streaming pipeline into the given backend and return the vita.
-fn run(method: MethodConfig, backend: StorageBackend) -> (Vita, PipelineReport) {
+fn run(method: MethodConfig, backend: StorageBackend) -> Vita {
     let mut vita = toolkit();
-    let report = vita.run_streaming(&scenario(method, backend)).unwrap();
-    (vita, report)
+    vita.run_streaming(&scenario(method, backend)).unwrap();
+    vita
 }
 
 fn sorted_fixes(vita: &Vita) -> Vec<vita_positioning::Fix> {
@@ -68,43 +69,35 @@ fn sorted_fixes(vita: &Vita) -> Vec<vita_positioning::Fix> {
 }
 
 #[test]
-fn sharded_matches_single_for_trilateration() {
+fn segmented_matches_single_for_trilateration() {
     let method = || MethodConfig::Trilateration {
         config: TrilaterationConfig::default(),
         conversion_model: PathLossModel::default(),
     };
-    let (single, _) = run(method(), StorageBackend::Single);
-    let (sharded, report) = run(method(), StorageBackend::Sharded { shards: 8 });
+    let single = run(method(), StorageBackend::Single);
+    let segmented = run(method(), StorageBackend::segmented());
 
     assert_eq!(
-        sharded.repository().counts(RunScope::All),
+        segmented.repository().counts(RunScope::All),
         single.repository().counts(RunScope::All)
     );
     let a = sorted_fixes(&single);
     assert!(!a.is_empty());
-    assert_eq!(sorted_fixes(&sharded), a, "fix sets differ across backends");
-
-    // The report's per-shard counts cover the whole run and match the
-    // repository's own accounting.
-    assert_eq!(report.shard_rows.len(), 8);
-    let want = sharded.repository().counts(RunScope::All);
-    let merged = report
-        .shard_rows
-        .iter()
-        .fold(TableCounts::default(), |acc, c| acc + *c);
-    assert_eq!(merged, want);
-    // 14 objects over 8 shards: the hash must actually spread the load.
-    assert!(report.shard_rows.iter().filter(|c| c.total() > 0).count() > 1);
+    assert_eq!(
+        sorted_fixes(&segmented),
+        a,
+        "fix sets differ across backends"
+    );
 }
 
 #[test]
-fn sharded_matches_single_for_proximity() {
+fn segmented_matches_single_for_proximity() {
     let method = || MethodConfig::Proximity(ProximityConfig::default());
-    let (single, _) = run(method(), StorageBackend::Single);
-    let (sharded, _) = run(method(), StorageBackend::Sharded { shards: 4 });
+    let single = run(method(), StorageBackend::Single);
+    let segmented = run(method(), StorageBackend::segmented());
 
     assert_eq!(
-        sharded.repository().counts(RunScope::All),
+        segmented.repository().counts(RunScope::All),
         single.repository().counts(RunScope::All)
     );
     let collect = |v: &Vita| {
@@ -115,26 +108,26 @@ fn sharded_matches_single_for_proximity() {
     let a = collect(&single);
     assert!(!a.is_empty());
     assert_eq!(
-        collect(&sharded),
+        collect(&segmented),
         a,
         "proximity sets differ across backends"
     );
 }
 
 #[test]
-fn sharded_matches_single_for_probabilistic_fingerprinting() {
+fn segmented_matches_single_for_probabilistic_fingerprinting() {
     let method = || MethodConfig::FingerprintingBayes {
         survey: SurveyConfig::default(),
         online: FingerprintConfig::default(),
         floor: FloorId(0),
     };
-    let (single, _) = run(method(), StorageBackend::Single);
-    let (sharded, _) = run(method(), StorageBackend::Sharded { shards: 4 });
+    let single = run(method(), StorageBackend::Single);
+    let segmented = run(method(), StorageBackend::segmented());
     assert_eq!(
-        sharded.repository().counts(RunScope::All),
+        segmented.repository().counts(RunScope::All),
         single.repository().counts(RunScope::All)
     );
-    assert_eq!(sorted_fixes(&sharded), sorted_fixes(&single));
+    assert_eq!(sorted_fixes(&segmented), sorted_fixes(&single));
 }
 
 #[test]
@@ -143,15 +136,15 @@ fn switching_backends_repartitions_existing_rows() {
         config: TrilaterationConfig::default(),
         conversion_model: PathLossModel::default(),
     };
-    let (mut vita, _) = run(method, StorageBackend::Single);
+    let mut vita = run(method, StorageBackend::Single);
     let counts = vita.repository().counts(RunScope::All);
     let fixes = sorted_fixes(&vita);
 
-    vita.migrate_backend(StorageBackend::Sharded { shards: 4 });
-    assert_eq!(
+    vita.migrate_backend(StorageBackend::segmented());
+    assert!(matches!(
         vita.repository().backend(),
-        StorageBackend::Sharded { shards: 4 }
-    );
+        StorageBackend::Segmented { .. }
+    ));
     assert_eq!(vita.repository().counts(RunScope::All), counts);
     assert_eq!(sorted_fixes(&vita), fixes);
 

@@ -21,10 +21,6 @@ fn example_spec_covers_all_backend_families() {
         .collect();
     assert!(backends.contains("single"), "{backends:?}");
     assert!(
-        backends.iter().any(|b| b.starts_with("sharded")),
-        "{backends:?}"
-    );
-    assert!(
         backends.iter().any(|b| b.starts_with("segmented")),
         "{backends:?}"
     );
@@ -49,14 +45,14 @@ fn example_spec_runs_and_reproduces() {
         let _ = schema_signature(&parsed);
     }
 
-    // Aggregates cover the spec's single axis with all four variants.
+    // Aggregates cover the spec's single axis with all three variants.
     let by_axis = first.by_axis();
     assert_eq!(by_axis.len(), 1);
     assert_eq!(by_axis[0].axis, "backend");
-    assert_eq!(by_axis[0].variants.len(), 4);
+    assert_eq!(by_axis[0].variants.len(), 3);
     let md = first.analysis_markdown();
     assert!(md.contains("#### by backend"));
-    assert_eq!(first.analysis_jsonl().lines().count(), 4);
+    assert_eq!(first.analysis_jsonl().lines().count(), 3);
 
     // Re-run: identical bindings, seeds, row counts, and ordering —
     // byte-identical in the deterministic JSONL form.

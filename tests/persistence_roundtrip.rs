@@ -174,12 +174,8 @@ proptest! {
     fn multi_run_repository_round_trips(
         runs in proptest::collection::vec(run_data_strategy(), 3..5),
         gaps in proptest::collection::vec(0u32..4, 3..5),
-        shards in 2usize..6,
     ) {
-        let backends = [
-            StorageBackend::Single,
-            StorageBackend::Sharded { shards },
-        ];
+        let backends = [StorageBackend::Single, StorageBackend::segmented()];
         // Non-contiguous, ascending run ids (run_many never guarantees
         // density once repositories merge over time).
         let mut next = 0u32;
@@ -229,7 +225,6 @@ proptest! {
         from in 0u64..T_MAX,
         width in 0u64..T_MAX,
         o in 0u32..OBJECTS,
-        shards in 2usize..5,
     ) {
         let original = AnyRepository::new(StorageBackend::Single);
         for (i, data) in runs.iter().enumerate() {
@@ -237,7 +232,7 @@ proptest! {
         }
         let export = original.export();
         let single = AnyRepository::import(&export, StorageBackend::Single).unwrap();
-        let sharded = AnyRepository::import(&export, StorageBackend::Sharded { shards }).unwrap();
+        let segmented = AnyRepository::import(&export, StorageBackend::segmented()).unwrap();
         let (lo, hi) = (Timestamp(from), Timestamp(from.saturating_add(width)));
 
         for run in original.run_ids() {
@@ -261,7 +256,7 @@ proptest! {
             prop_assert_eq!(&got_single, &want);
             prop_assert_eq!(
                 sorted_by(
-                    sharded.as_sharded().unwrap().trajectories_time_window(run.into(), lo, hi),
+                    segmented.as_segmented().unwrap().trajectories_time_window(run.into(), lo, hi),
                     sample_key
                 ),
                 sorted_by(want, sample_key)
@@ -285,7 +280,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(&got_single, &want);
             prop_assert_eq!(
-                sharded.as_sharded().unwrap().object_trace(run.into(), ObjectId(o)),
+                segmented.as_segmented().unwrap().object_trace(run.into(), ObjectId(o)),
                 want
             );
         }
@@ -342,14 +337,14 @@ fn run_many_save_load_round_trip() {
     same.load_from(&dir).unwrap();
     assert_runs_equal(same.repository(), vita.repository());
 
-    // Across a backend switch: load lands on the sharded backend with
+    // Across a backend switch: load lands on the segmented backend with
     // run tags intact.
     let mut switched = Vita::from_dbi_text(&text, &BuildParams::default()).unwrap();
-    switched.migrate_backend(StorageBackend::Sharded { shards: 4 });
+    switched.migrate_backend(StorageBackend::segmented());
     switched.load_from(&dir).unwrap();
     assert!(matches!(
         switched.repository().backend(),
-        StorageBackend::Sharded { shards: 4 }
+        StorageBackend::Segmented { .. }
     ));
     assert_runs_equal(switched.repository(), vita.repository());
 

@@ -128,11 +128,9 @@ proptest! {
     fn service_matches_direct_repository_calls(
         rows in proptest::collection::vec((sample_strategy(), 0u32..3), 0..150),
         requests in proptest::collection::vec(request_strategy(), 1..24),
-        shards in 1usize..5,
     ) {
         for backend in [
             StorageBackend::Single,
-            StorageBackend::Sharded { shards },
             StorageBackend::segmented(),
         ] {
             let repo = Arc::new(AnyRepository::new(backend.clone()));
@@ -293,11 +291,6 @@ fn queries_are_prefix_consistent_on(backend: StorageBackend) {
 #[test]
 fn queries_are_prefix_consistent_during_ingestion_single() {
     queries_are_prefix_consistent_on(StorageBackend::Single);
-}
-
-#[test]
-fn queries_are_prefix_consistent_during_ingestion_sharded() {
-    queries_are_prefix_consistent_on(StorageBackend::Sharded { shards: 4 });
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! [`Vita::run_many`] must leave, **per run**, fix / proximity / RSSI /
 //! trajectory row sets bit-identical to running each scenario alone with
 //! [`Vita::run_streaming_as`] at the same run id — on both the Single and
-//! the Sharded storage backend.
+//! the Segmented storage backend.
 //!
 //! This holds because every run's RNG streams are derived from
 //! `(base seed, run id)` (`derive_run_seed`) and every product is derived
@@ -188,8 +188,8 @@ fn run_many_matches_sequential_on_single_backend() {
 }
 
 #[test]
-fn run_many_matches_sequential_on_sharded_backend() {
-    concurrent_matches_sequential_on(StorageBackend::Sharded { shards: 4 });
+fn run_many_matches_sequential_on_segmented_backend() {
+    concurrent_matches_sequential_on(StorageBackend::segmented());
 }
 
 #[test]

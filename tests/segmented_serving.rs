@@ -200,8 +200,4 @@ fn migrating_through_segmented_is_lossless() {
     for r in 0..3 {
         assert!(vita.repository().counts(RunId(r).into()).total() > 0);
     }
-
-    vita.migrate_backend(StorageBackend::Sharded { shards: 4 });
-    assert_eq!(vita.repository().counts(RunScope::All), counts);
-    assert_eq!(sorted_fixes(&vita, RunScope::All), fixes);
 }
