@@ -14,7 +14,8 @@
 //! * [`Polygon`] — footprints; containment, triangulation, uniform sampling,
 //!   half-plane clipping and line splits used by partition decomposition.
 //! * [`Aabb`] — bounding boxes.
-//! * [`GridIndex`] — rebuild-friendly uniform grid for dynamic data.
+//! * [`GridIndex`] — uniform grid for dynamic data, bulk-built into CSR
+//!   cells in one counting-sort pass.
 //! * [`RTree`] — STR bulk-loaded R-tree for static building geometry.
 //!
 //! The crate is dependency-light (only `rand`, for polygon sampling) and

@@ -201,19 +201,56 @@ proptest! {
         center in pt(), radius in 0.5f64..80.0,
     ) {
         let domain = Aabb::new(Point::new(-100.0, -100.0), Point::new(100.0, 100.0));
-        let mut grid = GridIndex::new(domain, 7.0);
-        for (i, &p) in pts.iter().enumerate() {
-            grid.insert_point(i as u32, p);
-        }
-        let mut got = grid.query_radius(center, radius);
-        got.sort_unstable();
-        let mut want: Vec<u32> = pts
+        let entries = pts
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (i as u32, Aabb::from_point(p)))
+            .collect();
+        let grid = GridIndex::build(domain, 7.0, entries);
+        // Answers come back in entry order, so no sort before comparing.
+        let got = grid.query_radius(center, radius);
+        let want: Vec<u32> = pts
             .iter()
             .enumerate()
             .filter(|(_, p)| p.dist(center) <= radius)
             .map(|(i, _)| i as u32)
             .collect();
-        want.sort_unstable();
         prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn grid_bbox_query_matches_brute_force(
+        boxes in proptest::collection::vec((pt(), 0.0f64..30.0, 0.0f64..30.0), 0..120),
+        a in pt(), b in pt(), cell in 0.5f64..40.0,
+    ) {
+        // Items of any extent, some spilling past the domain edge: each
+        // must be reported once, whatever number of cells it spans.
+        let entries: Vec<(u32, Aabb)> = boxes
+            .iter()
+            .enumerate()
+            .map(|(i, &(p, w, h))| (i as u32, Aabb::new(p, Point::new(p.x + w, p.y + h))))
+            .collect();
+        let domain = Aabb::new(Point::new(-80.0, -80.0), Point::new(80.0, 80.0));
+        let grid = GridIndex::build(domain, cell, entries.clone());
+        let query = Aabb::new(a, b);
+        let want: Vec<u32> = entries
+            .iter()
+            .filter(|(_, bounds)| bounds.intersects(&query) && domain.intersects(&query))
+            .map(|&(id, _)| id)
+            .collect();
+        prop_assert_eq!(grid.query_bbox(&query), want);
+    }
+
+    #[test]
+    fn grid_over_points_covers_every_point(pts in proptest::collection::vec(pt(), 1..120)) {
+        let items: Vec<(u32, Point)> =
+            pts.iter().enumerate().map(|(i, &p)| (i as u32, p)).collect();
+        let grid = GridIndex::over_points(&items).expect("non-empty");
+        prop_assert_eq!(grid.len(), pts.len());
+        let all = grid.query_bbox(&grid.domain());
+        prop_assert_eq!(all, (0..pts.len() as u32).collect::<Vec<_>>());
+        for &(id, p) in &items {
+            prop_assert!(grid.query_radius(p, 0.0).contains(&id));
+        }
     }
 }

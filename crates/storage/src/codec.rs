@@ -179,23 +179,39 @@ fn put_loc(loc: &Loc, buf: &mut BytesMut) {
     }
 }
 
-fn get_loc(buf: &mut Bytes) -> Result<Loc, CodecError> {
-    if buf.remaining() < LOC_SIZE {
-        return Err(CodecError::Truncated);
-    }
-    let building = BuildingId(buf.get_u32_le());
-    let floor = FloorId(buf.get_u32_le());
-    match buf.get_u8() {
+/// The `N` bytes at `at` — a fixed-offset field of a row slice.
+fn field<const N: usize>(row: &[u8], at: usize) -> [u8; N] {
+    let mut b = [0u8; N];
+    b.copy_from_slice(&row[at..at + N]);
+    b
+}
+
+fn u32_at(row: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(field(row, at))
+}
+
+fn u64_at(row: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(field(row, at))
+}
+
+fn f64_at(row: &[u8], at: usize) -> f64 {
+    f64::from_le_bytes(field(row, at))
+}
+
+/// Parse the `LOC_SIZE` bytes of a location at `at` in a row.
+fn get_loc(row: &[u8], at: usize) -> Result<Loc, CodecError> {
+    let building = BuildingId(u32_at(row, at));
+    let floor = FloorId(u32_at(row, at + 4));
+    match row[at + 8] {
         0 => {
-            let x = buf.get_f64_le();
-            let y = buf.get_f64_le();
-            Ok(Loc::point(building, floor, Point::new(x, y)))
+            let p = Point::new(f64_at(row, at + 9), f64_at(row, at + 17));
+            Ok(Loc::point(building, floor, p))
         }
-        1 => {
-            let pid = PartitionId(buf.get_u32_le());
-            buf.advance(12);
-            Ok(Loc::partition(building, floor, pid))
-        }
+        1 => Ok(Loc::partition(
+            building,
+            floor,
+            PartitionId(u32_at(row, at + 9)),
+        )),
         k => Err(CodecError::BadLocKind(k)),
     }
 }
@@ -206,14 +222,12 @@ fn put_trajectory(s: &TrajectorySample, buf: &mut BytesMut) {
     buf.put_u64_le(s.t.0);
 }
 
-fn get_trajectory(buf: &mut Bytes) -> Result<TrajectorySample, CodecError> {
-    if buf.remaining() < TRAJECTORY_ROW {
-        return Err(CodecError::Truncated);
-    }
-    let object = ObjectId(buf.get_u32_le());
-    let loc = get_loc(buf)?;
-    let t = Timestamp(buf.get_u64_le());
-    Ok(TrajectorySample { object, loc, t })
+fn get_trajectory(row: &[u8; TRAJECTORY_ROW]) -> Result<TrajectorySample, CodecError> {
+    Ok(TrajectorySample {
+        object: ObjectId(u32_at(row, 0)),
+        loc: get_loc(row, 4)?,
+        t: Timestamp(u64_at(row, 4 + LOC_SIZE)),
+    })
 }
 
 fn put_rssi(m: &RssiMeasurement, buf: &mut BytesMut) {
@@ -223,16 +237,13 @@ fn put_rssi(m: &RssiMeasurement, buf: &mut BytesMut) {
     buf.put_u64_le(m.t.0);
 }
 
-fn get_rssi(buf: &mut Bytes) -> Result<RssiMeasurement, CodecError> {
-    if buf.remaining() < RSSI_ROW {
-        return Err(CodecError::Truncated);
+fn get_rssi(row: &[u8; RSSI_ROW]) -> RssiMeasurement {
+    RssiMeasurement {
+        object: ObjectId(u32_at(row, 0)),
+        device: DeviceId(u32_at(row, 4)),
+        rssi: f64_at(row, 8),
+        t: Timestamp(u64_at(row, 16)),
     }
-    Ok(RssiMeasurement {
-        object: ObjectId(buf.get_u32_le()),
-        device: DeviceId(buf.get_u32_le()),
-        rssi: buf.get_f64_le(),
-        t: Timestamp(buf.get_u64_le()),
-    })
 }
 
 fn put_fix(fx: &Fix, buf: &mut BytesMut) {
@@ -241,14 +252,12 @@ fn put_fix(fx: &Fix, buf: &mut BytesMut) {
     buf.put_u64_le(fx.t.0);
 }
 
-fn get_fix(buf: &mut Bytes) -> Result<Fix, CodecError> {
-    if buf.remaining() < FIX_ROW {
-        return Err(CodecError::Truncated);
-    }
-    let object = ObjectId(buf.get_u32_le());
-    let loc = get_loc(buf)?;
-    let t = Timestamp(buf.get_u64_le());
-    Ok(Fix { object, loc, t })
+fn get_fix(row: &[u8; FIX_ROW]) -> Result<Fix, CodecError> {
+    Ok(Fix {
+        object: ObjectId(u32_at(row, 0)),
+        loc: get_loc(row, 4)?,
+        t: Timestamp(u64_at(row, 4 + LOC_SIZE)),
+    })
 }
 
 fn put_proximity(r: &ProximityRecord, buf: &mut BytesMut) {
@@ -258,16 +267,19 @@ fn put_proximity(r: &ProximityRecord, buf: &mut BytesMut) {
     buf.put_u64_le(r.te.0);
 }
 
-fn get_proximity(buf: &mut Bytes) -> Result<ProximityRecord, CodecError> {
-    if buf.remaining() < PROXIMITY_ROW {
-        return Err(CodecError::Truncated);
+fn get_proximity(row: &[u8; PROXIMITY_ROW]) -> ProximityRecord {
+    ProximityRecord {
+        object: ObjectId(u32_at(row, 0)),
+        device: DeviceId(u32_at(row, 4)),
+        ts: Timestamp(u64_at(row, 8)),
+        te: Timestamp(u64_at(row, 16)),
     }
-    Ok(ProximityRecord {
-        object: ObjectId(buf.get_u32_le()),
-        device: DeviceId(buf.get_u32_le()),
-        ts: Timestamp(buf.get_u64_le()),
-        te: Timestamp(buf.get_u64_le()),
-    })
+}
+
+/// View a row slice as its fixed-width array; a short slice is
+/// [`CodecError::Truncated`].
+fn row_array<const N: usize>(row: &[u8]) -> Result<&[u8; N], CodecError> {
+    row.try_into().map_err(|_| CodecError::Truncated)
 }
 
 /// Fixed-width wire encoding for one record type — the capability the
@@ -280,8 +292,9 @@ pub trait WireRecord: Copy + Send + Sync + 'static {
     const ROW: usize;
     /// Append exactly [`Self::ROW`] bytes for this row.
     fn put_row(&self, buf: &mut BytesMut);
-    /// Read one row, checking the remaining byte budget.
-    fn get_row(buf: &mut Bytes) -> Result<Self, CodecError>;
+    /// Parse one row from exactly [`Self::ROW`] bytes (any other length
+    /// is [`CodecError::Truncated`]); every field sits at a fixed offset.
+    fn read_row(row: &[u8]) -> Result<Self, CodecError>;
 }
 
 impl WireRecord for TrajectorySample {
@@ -290,8 +303,8 @@ impl WireRecord for TrajectorySample {
     fn put_row(&self, buf: &mut BytesMut) {
         put_trajectory(self, buf)
     }
-    fn get_row(buf: &mut Bytes) -> Result<Self, CodecError> {
-        get_trajectory(buf)
+    fn read_row(row: &[u8]) -> Result<Self, CodecError> {
+        get_trajectory(row_array(row)?)
     }
 }
 
@@ -301,8 +314,8 @@ impl WireRecord for RssiMeasurement {
     fn put_row(&self, buf: &mut BytesMut) {
         put_rssi(self, buf)
     }
-    fn get_row(buf: &mut Bytes) -> Result<Self, CodecError> {
-        get_rssi(buf)
+    fn read_row(row: &[u8]) -> Result<Self, CodecError> {
+        Ok(get_rssi(row_array(row)?))
     }
 }
 
@@ -312,8 +325,8 @@ impl WireRecord for Fix {
     fn put_row(&self, buf: &mut BytesMut) {
         put_fix(self, buf)
     }
-    fn get_row(buf: &mut Bytes) -> Result<Self, CodecError> {
-        get_fix(buf)
+    fn read_row(row: &[u8]) -> Result<Self, CodecError> {
+        get_fix(row_array(row)?)
     }
 }
 
@@ -323,8 +336,8 @@ impl WireRecord for ProximityRecord {
     fn put_row(&self, buf: &mut BytesMut) {
         put_proximity(self, buf)
     }
-    fn get_row(buf: &mut Bytes) -> Result<Self, CodecError> {
-        get_proximity(buf)
+    fn read_row(row: &[u8]) -> Result<Self, CodecError> {
+        Ok(get_proximity(row_array(row)?))
     }
 }
 
@@ -456,10 +469,11 @@ pub fn encode_segment<T: WireRecord>(sections: &[(RunId, &[T], &[u64])]) -> Byte
 /// Decode a segment file produced by [`encode_segment`]. Fails with
 /// [`CodecError::WrongRecordType`] on a plain table file (and table
 /// decoders fail the same way on segment files) — the two framings are
-/// mutually unreadable by construction.
+/// mutually unreadable by construction. Each section parses as fixed-width
+/// row slices (`chunks_exact`) with fixed-offset field reads.
 pub fn decode_segment<T: WireRecord>(data: Bytes) -> Result<Vec<SegmentSection<T>>, CodecError> {
     walk_v2(T::TAG | SEQ_FLAG, data, |buf, run, count| {
-        let rows = read_rows(buf, count, T::ROW, &T::get_row)?;
+        let rows = read_rows(buf, count, T::ROW, T::read_row)?;
         let seqs = read_seqs(buf, count)?;
         Ok((!rows.is_empty()).then_some(SegmentSection { run, rows, seqs }))
     })
@@ -483,16 +497,7 @@ pub(crate) fn decode_segment_raw<T: WireRecord>(
     data: Bytes,
 ) -> Result<Vec<RawSection>, CodecError> {
     walk_v2(T::TAG | SEQ_FLAG, data, |buf, run, count| {
-        let needed = count
-            .checked_mul(T::ROW as u64)
-            .ok_or(CodecError::CountOverflow)?;
-        if count > usize::MAX as u64 {
-            return Err(CodecError::CountOverflow);
-        }
-        if needed > buf.remaining() as u64 {
-            return Err(CodecError::Truncated);
-        }
-        let rows = buf.split_to(needed as usize);
+        let rows = take_rows(buf, count, T::ROW)?;
         let seqs = read_seqs(buf, count)?;
         Ok((!seqs.is_empty()).then_some(RawSection { run, rows, seqs }))
     })
@@ -500,23 +505,14 @@ pub(crate) fn decode_segment_raw<T: WireRecord>(
 
 /// Read one section's seq block (`count` little-endian u64s).
 fn read_seqs(buf: &mut Bytes, count: u64) -> Result<Vec<u64>, CodecError> {
-    read_rows(buf, count, 8, &|b: &mut Bytes| {
-        if b.remaining() < 8 {
-            return Err(CodecError::Truncated);
-        }
-        Ok(b.get_u64_le())
-    })
+    read_rows(buf, count, 8, |b| Ok(u64_at(b, 0)))
 }
 
-/// Read one section's rows with the byte budget cross-checked up front:
-/// an absurd header-claimed count fails in O(1) instead of allocating or
-/// looping per row.
-fn read_rows<T>(
-    buf: &mut Bytes,
-    count: u64,
-    row_size: usize,
-    get_row: &impl Fn(&mut Bytes) -> Result<T, CodecError>,
-) -> Result<Vec<T>, CodecError> {
+/// Split off the `count × row_size` bytes of one section's rows, with the
+/// byte budget cross-checked up front: an absurd header-claimed count
+/// fails in O(1) ([`CodecError::CountOverflow`] /
+/// [`CodecError::Truncated`]) before anything is allocated.
+fn take_rows(buf: &mut Bytes, count: u64, row_size: usize) -> Result<Bytes, CodecError> {
     let needed = count
         .checked_mul(row_size as u64)
         .ok_or(CodecError::CountOverflow)?;
@@ -526,9 +522,21 @@ fn read_rows<T>(
     if needed > buf.remaining() as u64 {
         return Err(CodecError::Truncated);
     }
+    Ok(buf.split_to(needed as usize))
+}
+
+/// Read one section's rows: [`take_rows`], then parse each fixed-width
+/// row slice with `read_row`.
+fn read_rows<T>(
+    buf: &mut Bytes,
+    count: u64,
+    row_size: usize,
+    read_row: impl Fn(&[u8]) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let bytes = take_rows(buf, count, row_size)?;
     let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        out.push(get_row(buf)?);
+    for row in bytes.chunks_exact(row_size) {
+        out.push(read_row(row)?);
     }
     Ok(out)
 }
@@ -629,7 +637,7 @@ fn decode_runs<T: WireRecord>(data: Bytes) -> Result<Vec<(RunId, Vec<T>)>, Codec
             return Err(CodecError::Truncated);
         }
         let count = buf.get_u64_le();
-        let rows = read_rows(&mut buf, count, T::ROW, &T::get_row)?;
+        let rows = read_rows(&mut buf, count, T::ROW, T::read_row)?;
         if buf.remaining() != 0 {
             return Err(CodecError::TrailingBytes);
         }
@@ -640,7 +648,7 @@ fn decode_runs<T: WireRecord>(data: Bytes) -> Result<Vec<(RunId, Vec<T>)>, Codec
         });
     }
     walk_v2(T::TAG, data, |buf, run, count| {
-        let rows = read_rows(buf, count, T::ROW, &T::get_row)?;
+        let rows = read_rows(buf, count, T::ROW, T::read_row)?;
         Ok((!rows.is_empty()).then_some((run, rows)))
     })
 }
@@ -1195,12 +1203,13 @@ mod tests {
             assert_eq!(t.run, r.run);
             assert_eq!(t.seqs, r.seqs);
             // Re-decoding the raw row bytes yields the typed rows.
-            let mut buf = r.rows.clone();
-            let redecoded: Vec<TrajectorySample> = (0..t.rows.len())
-                .map(|_| TrajectorySample::get_row(&mut buf).unwrap())
+            assert_eq!(r.rows.len(), t.rows.len() * TrajectorySample::ROW);
+            let redecoded: Vec<TrajectorySample> = r
+                .rows
+                .chunks_exact(TrajectorySample::ROW)
+                .map(|row| TrajectorySample::read_row(row).unwrap())
                 .collect();
             assert_eq!(redecoded, t.rows);
-            assert_eq!(buf.remaining(), 0);
         }
     }
 

@@ -48,7 +48,8 @@
 //!   also the parity oracle the segmented backend is tested against.
 //! * [`SegmentedRepository`] — each table a list of immutable, run-
 //!   segmented segments published by atomic snapshot swap, with a
-//!   background sealer/compactor building indexes once at seal time (see
+//!   background sealer/compactor that sorts rows into sealed sections,
+//!   whose indexes are built on first use, at most once per section (see
 //!   the [`segment`] module docs). Readers pin a snapshot and never block;
 //!   choose it when queries must stay fast *while* ingestion runs (the
 //!   online-serving workload), or when a memory budget must bound the

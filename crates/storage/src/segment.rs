@@ -12,10 +12,12 @@
 //!   becomes a small unsealed segment (one per-run section, rows in
 //!   arrival order, no indexes); a background **sealer** merges unsealed
 //!   segments into sealed ones — per-run sections, exactly like the v2
-//!   wire format's section layout — and builds each sealed section's time
-//!   / object / device / per-floor spatial indexes **once**, at seal
-//!   time. A **compactor** folds accumulated sealed segments together so
-//!   the list stays short.
+//!   wire format's section layout, rows physically `(t, seq)`-sorted so
+//!   time windows are sub-slices. Each sealed section's object / device /
+//!   per-floor spatial indexes are built **on first use, at most once per
+//!   section**, by the first query that needs them; sealing, compaction
+//!   and page-in only sort, merge or decode rows. A **compactor** folds
+//!   accumulated sealed segments together so the list stays short.
 //! * The current segment list is published through a `SnapshotCell`:
 //!   readers pin the current snapshot (an `Arc` — the pin is the
 //!   reference count), answer the whole query against that frozen state,
@@ -34,7 +36,8 @@
 //! ## Tiered storage (spill)
 //!
 //! With a [`SpillConfig`], sealed segments become a two-tier store:
-//! `Resident` (decoded rows + indexes in memory) or `Spilled` (a
+//! `Resident` (decoded rows, plus any indexes queries built, in memory)
+//! or `Spilled` (a
 //! self-describing segment file on disk, written atomically via temp
 //! file + rename). Every segment — spilled or not — keeps per-section
 //! **meta** (run, row count, time bounds, floor set) plus its seq range,
@@ -49,16 +52,18 @@
 //! [`SegmentedRepository::spill_pending_rows`] high-water mark and pay
 //! the eviction IO themselves — explicit backpressure instead of
 //! unbounded growth. Readers still pin snapshots lock-free; page-in
-//! rebuilds sections deterministically, so answers stay bit-identical
-//! to the all-resident backend.
+//! rebuilds sections deterministically (a checksum-verified decode of the
+//! stored `(t, seq)` order; indexes again on first use), so answers stay
+//! bit-identical to the all-resident backend.
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -303,16 +308,25 @@ impl SegmentRow for ProximityRecord {
     }
 }
 
-/// Indexes a sealed section carries, built exactly once at seal time.
-/// There is no time index: a sealed section's rows are stored physically
-/// in `(t, seq)` order, so time windows are contiguous sub-slices.
+/// Indexes a sealed section answers through, each built on first use, at
+/// most once per section. Sealing, compaction and page-in only sort or
+/// merge rows (and decode them); an index is a pure function of the
+/// `(t, seq)`-ordered rows, so building it later answers bit-identically
+/// to building it at seal time — and a segment spilled before any query
+/// touched it never pays for one. There is no time index: a sealed
+/// section's rows are stored physically in `(t, seq)` order, so time
+/// windows are contiguous sub-slices.
+#[derive(Default)]
 struct SectionIndex {
     /// Row positions per object, ascending — because rows are
     /// `(t, seq)`-sorted, each list is the object's trace in trace order.
-    by_object: HashMap<ObjectId, Vec<u32>>,
-    by_device: HashMap<DeviceId, Vec<u32>>,
-    /// Per-floor grid over point-located rows (trajectory table only).
-    spatial: HashMap<FloorId, GridIndex>,
+    by_object: OnceLock<Postings<ObjectId>>,
+    by_device: OnceLock<Postings<DeviceId>>,
+    /// The floors holding point-located rows (trajectory and fix rows),
+    /// each with its grid, built the first time a range or kNN query asks
+    /// for that floor. A section spans a handful of floors, so a list
+    /// beats a map here.
+    spatial: OnceLock<Vec<(FloorId, OnceLock<Option<GridIndex>>)>>,
 }
 
 /// One run's rows inside a segment — the in-memory mirror of the v2 wire
@@ -328,8 +342,11 @@ struct Section<R> {
     seqs: Vec<Seq>,
     min_t: Timestamp,
     max_t: Timestamp,
-    /// `Some` once sealed; unsealed sections answer by linear scan.
-    index: Option<SectionIndex>,
+    /// Sealed sections are `(t, seq)`-ordered and answer through `index`;
+    /// unsealed ones are arrival-ordered and answer by linear scan.
+    sealed: bool,
+    /// Lazily built indexes; never touched on an unsealed section.
+    index: SectionIndex,
 }
 
 impl<R: SegmentRow> Section<R> {
@@ -345,18 +362,19 @@ impl<R: SegmentRow> Section<R> {
             seqs,
             min_t,
             max_t,
-            index: None,
+            sealed: false,
+            index: SectionIndex::default(),
         }
     }
 
     /// Seal a section from arrival-ordered rows: physically re-sort to
-    /// `(t, seq)` order, then index.
-    fn sealed(run: RunId, rows: Vec<R>, seqs: Vec<Seq>, build_spatial: bool) -> Self {
+    /// `(t, seq)` order.
+    fn sealed(run: RunId, rows: Vec<R>, seqs: Vec<Seq>) -> Self {
         let mut order: Vec<u32> = (0..rows.len() as u32).collect();
         order.sort_unstable_by_key(|&i| (rows[i as usize].time(), seqs[i as usize]));
         let sorted_rows: Vec<R> = order.iter().map(|&i| rows[i as usize]).collect();
         let sorted_seqs: Vec<Seq> = order.iter().map(|&i| seqs[i as usize]).collect();
-        Self::from_sorted(run, sorted_rows, sorted_seqs, build_spatial)
+        Self::from_sorted(run, sorted_rows, sorted_seqs)
     }
 
     /// A sealed section built by *merging* already-sealed parts — the
@@ -365,7 +383,7 @@ impl<R: SegmentRow> Section<R> {
     /// k-way merge replaces it and everything else is a linear pass. On
     /// one-core hosts this is the difference between compaction being
     /// invisible to query threads and showing up in their tail latency.
-    fn merged(run: RunId, parts: &[&Section<R>], build_spatial: bool) -> Self {
+    fn merged(run: RunId, parts: &[&Section<R>]) -> Self {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let total: usize = parts.iter().map(|p| p.rows.len()).sum();
@@ -387,11 +405,12 @@ impl<R: SegmentRow> Section<R> {
                 heap.push(Reverse((t, s, pi, pos + 1)));
             }
         }
-        Self::from_sorted(run, rows, seqs, build_spatial)
+        Self::from_sorted(run, rows, seqs)
     }
 
-    /// Index rows already in `(t, seq)` order into a sealed section.
-    fn from_sorted(run: RunId, rows: Vec<R>, seqs: Vec<Seq>, build_spatial: bool) -> Self {
+    /// A sealed section over rows already in `(t, seq)` order. No index
+    /// is built here; each one is built by the first query that needs it.
+    fn from_sorted(run: RunId, rows: Vec<R>, seqs: Vec<Seq>) -> Self {
         debug_assert!(
             (1..rows.len()).all(|i| (rows[i - 1].time(), seqs[i - 1]) < (rows[i].time(), seqs[i]))
         );
@@ -399,57 +418,81 @@ impl<R: SegmentRow> Section<R> {
             (Some(first), Some(last)) => (first.time(), last.time()),
             _ => (Timestamp(u64::MAX), Timestamp(0)),
         };
-        let mut by_object: HashMap<ObjectId, Vec<u32>> = HashMap::new();
-        let mut by_device: HashMap<DeviceId, Vec<u32>> = HashMap::new();
-        for (i, r) in rows.iter().enumerate() {
-            if let Some(o) = r.object() {
-                by_object.entry(o).or_default().push(i as u32);
-            }
-            if let Some(d) = r.device() {
-                by_device.entry(d).or_default().push(i as u32);
-            }
-        }
-        let spatial = if build_spatial {
-            build_spatial_grids(&rows)
-        } else {
-            HashMap::new()
-        };
         Section {
             run,
             rows,
             seqs,
             min_t,
             max_t,
-            index: Some(SectionIndex {
-                by_object,
-                by_device,
-                spatial,
-            }),
+            sealed: true,
+            index: SectionIndex::default(),
         }
+    }
+
+    /// Row positions per object (sealed sections only), built on first use.
+    fn by_object(&self) -> &Postings<ObjectId> {
+        debug_assert!(self.sealed);
+        self.index
+            .by_object
+            .get_or_init(|| postings(&self.rows, R::object))
+    }
+
+    /// Row positions per device (sealed sections only), built on first use.
+    fn by_device(&self) -> &Postings<DeviceId> {
+        debug_assert!(self.sealed);
+        self.index
+            .by_device
+            .get_or_init(|| postings(&self.rows, R::device))
+    }
+
+    /// The grid over `floor`'s point-located rows (sealed sections only),
+    /// built on first use; `None` when the section has no point on that
+    /// floor.
+    fn floor_grid(&self, floor: FloorId) -> Option<&GridIndex> {
+        debug_assert!(self.sealed);
+        let floors = self.index.spatial.get_or_init(|| {
+            let mut floors: Vec<(FloorId, OnceLock<Option<GridIndex>>)> = Vec::new();
+            for (f, _) in self.rows.iter().filter_map(|r| r.floor_point()) {
+                if !floors.iter().any(|(g, _)| *g == f) {
+                    floors.push((f, OnceLock::new()));
+                }
+            }
+            floors
+        });
+        floors
+            .iter()
+            .find(|(f, _)| *f == floor)?
+            .1
+            .get_or_init(|| {
+                let pts: Vec<(u32, Point)> = self
+                    .rows
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, r)| match r.floor_point() {
+                        Some((f, p)) if f == floor => Some((i as u32, p)),
+                        _ => None,
+                    })
+                    .collect();
+                GridIndex::over_points(&pts)
+            })
+            .as_ref()
     }
 }
 
-/// Per-floor grids over point-located rows: one linear insert pass per
-/// floor, domain inflated so edge points never fall outside.
-fn build_spatial_grids<R: SegmentRow>(rows: &[R]) -> HashMap<FloorId, GridIndex> {
-    let mut per_floor: HashMap<FloorId, Vec<(u32, Point)>> = HashMap::new();
+/// Ascending row positions per id key (object or device). Keyed with the
+/// default, collision-resistant hasher: ids also arrive in imported files.
+type Postings<K> = HashMap<K, Vec<u32>>;
+
+/// Ascending row positions per key — position order is `(t, seq)` order
+/// on a sealed section, so each list is that key's rows in trace order.
+fn postings<R, K: Hash + Eq>(rows: &[R], key: impl Fn(&R) -> Option<K>) -> Postings<K> {
+    let mut map = Postings::default();
     for (i, r) in rows.iter().enumerate() {
-        if let Some((floor, p)) = r.floor_point() {
-            per_floor.entry(floor).or_default().push((i as u32, p));
+        if let Some(k) = key(r) {
+            map.entry(k).or_default().push(i as u32);
         }
     }
-    let mut spatial = HashMap::new();
-    for (floor, pts) in per_floor {
-        let domain =
-            Aabb::from_points(&pts.iter().map(|(_, p)| *p).collect::<Vec<_>>()).inflated(1.0);
-        let cell = (domain.width().max(domain.height()) / 32.0).max(0.5);
-        let mut g = GridIndex::new(domain, cell);
-        for (id, p) in pts {
-            g.insert_point(id, p);
-        }
-        spatial.insert(floor, g);
-    }
-    spatial
+    map
 }
 
 // ---------------------------------------------------------------------------
@@ -617,7 +660,7 @@ impl SectionMeta {
 
 /// Where a segment's rows live.
 enum SegmentState<R> {
-    /// Decoded rows (and indexes) in memory.
+    /// Decoded rows (and any indexes queries built) in memory.
     Resident(Vec<Section<R>>),
     /// Rows in a segment file; meta stays on the [`Segment`].
     Spilled { path: PathBuf },
@@ -625,7 +668,8 @@ enum SegmentState<R> {
 
 /// An immutable group of per-run sections. Unsealed segments hold exactly
 /// one section (the accepted batch) and are always resident; sealed
-/// segments hold one section per run, each indexed, and may be spilled.
+/// segments hold one section per run, each `(t, seq)`-sorted, and may be
+/// spilled.
 /// The `id` is stable across the resident → spilled republish, so cache
 /// entries and spill files stay keyed to the same logical segment.
 struct Segment<R> {
@@ -703,7 +747,8 @@ impl<R: SegmentRow> Segment<R> {
 
 /// The decoded rows of one spilled segment — what the page-in cache
 /// holds. Sections are rebuilt deterministically from the file
-/// (`(t, seq)` order is stored, indexes are a function of it), so a
+/// (`(t, seq)` order is stored; indexes are a function of it, built on
+/// first use, at most once per section while the entry lives), so a
 /// paged-in segment answers bit-identically to its resident original.
 struct SegmentData<R> {
     sections: Vec<Section<R>>,
@@ -726,8 +771,9 @@ impl<R> Default for TableSnapshot<R> {
 
 /// Merge sections (in segment-list order — seq order per run) into one
 /// sealed segment's sections: rows regrouped into one section per run
-/// (wire-format shape), every section indexed.
-fn build_sealed<R: SegmentRow>(sections: Vec<&Section<R>>, build_spatial: bool) -> Vec<Section<R>> {
+/// (wire-format shape), each `(t, seq)`-ordered. Indexes are left to
+/// the first query that needs them.
+fn build_sealed<R: SegmentRow>(sections: Vec<&Section<R>>) -> Vec<Section<R>> {
     let mut per_run: BTreeMap<RunId, Vec<&Section<R>>> = BTreeMap::new();
     for sec in sections {
         per_run.entry(sec.run).or_default().push(sec);
@@ -735,9 +781,9 @@ fn build_sealed<R: SegmentRow>(sections: Vec<&Section<R>>, build_spatial: bool) 
     per_run
         .into_iter()
         .map(|(run, parts)| {
-            if parts.iter().all(|p| p.index.is_some()) {
-                // Compaction: every part is sealed, merge their indexes.
-                Section::merged(run, &parts, build_spatial)
+            if parts.iter().all(|p| p.sealed) {
+                // Compaction: every part is sealed, merge their rows.
+                Section::merged(run, &parts)
             } else {
                 // Sealing: fresh batches are arrival-ordered, sort from
                 // scratch.
@@ -749,7 +795,7 @@ fn build_sealed<R: SegmentRow>(sections: Vec<&Section<R>>, build_spatial: bool) 
                     seqs.extend_from_slice(&p.seqs);
                 }
                 debug_assert!(seqs.windows(2).all(|w| w[0] < w[1]));
-                Section::sealed(run, rows, seqs, build_spatial)
+                Section::sealed(run, rows, seqs)
             }
         })
         .collect()
@@ -826,7 +872,7 @@ fn time_window_sections<R: SegmentRow>(
     // among ties), then merge those alongside the sealed slices.
     let mut owned: Vec<(Vec<R>, Vec<Seq>)> = Vec::new();
     for sec in sections {
-        if sec.index.is_none() {
+        if !sec.sealed {
             let mut ids: Vec<u32> = (0..sec.rows.len() as u32)
                 .filter(|&i| {
                     let t = sec.rows[i as usize].time();
@@ -843,19 +889,16 @@ fn time_window_sections<R: SegmentRow>(
     let mut inputs: Vec<(&[R], &[Seq])> = Vec::with_capacity(sections.len());
     let mut owned_it = owned.iter();
     for sec in sections {
-        match &sec.index {
-            Some(_) => {
-                let lo = sec.rows.partition_point(|r| r.time() < from);
-                let hi = sec.rows.partition_point(|r| r.time() < to);
-                if lo < hi {
-                    inputs.push((&sec.rows[lo..hi], &sec.seqs[lo..hi]));
-                }
+        if sec.sealed {
+            let lo = sec.rows.partition_point(|r| r.time() < from);
+            let hi = sec.rows.partition_point(|r| r.time() < to);
+            if lo < hi {
+                inputs.push((&sec.rows[lo..hi], &sec.seqs[lo..hi]));
             }
-            None => {
-                let (rows, seqs) = owned_it.next().expect("one owned run per unsealed"); // audit: allow(R4) invariant: one owned-run entry was built per unsealed section just above
-                if !rows.is_empty() {
-                    inputs.push((&rows[..], &seqs[..]));
-                }
+        } else {
+            let (rows, seqs) = owned_it.next().expect("one owned run per unsealed"); // audit: allow(R4) invariant: one owned-run entry was built per unsealed section just above
+            if !rows.is_empty() {
+                inputs.push((&rows[..], &seqs[..]));
             }
         }
     }
@@ -864,50 +907,39 @@ fn time_window_sections<R: SegmentRow>(
 
 /// Rows of object `o` ordered by `(t, seq)`.
 fn of_object_sections<R: SegmentRow>(sections: &[&Section<R>], o: ObjectId) -> Vec<R> {
-    let mut out: Vec<(Timestamp, Seq, R)> = Vec::new();
-    for sec in sections {
-        match &sec.index {
-            Some(ix) => {
-                if let Some(ids) = ix.by_object.get(&o) {
-                    out.extend(ids.iter().map(|&i| {
-                        let r = sec.rows[i as usize];
-                        (r.time(), sec.seqs[i as usize], r)
-                    }));
-                }
-            }
-            None => out.extend(
-                sec.rows
-                    .iter()
-                    .zip(&sec.seqs)
-                    .filter(|(r, _)| r.object() == Some(o))
-                    .map(|(&r, &s)| (r.time(), s, r)),
-            ),
-        }
-    }
-    out.sort_unstable_by_key(|(t, s, _)| (*t, *s));
-    out.into_iter().map(|(_, _, r)| r).collect()
+    keyed_sections(sections, o, Section::by_object, R::object)
 }
 
 /// Rows through device `d` ordered by `(t, seq)`.
 fn of_device_sections<R: SegmentRow>(sections: &[&Section<R>], d: DeviceId) -> Vec<R> {
+    keyed_sections(sections, d, Section::by_device, R::device)
+}
+
+/// Rows whose `key` is `k`, ordered by `(t, seq)`: sealed sections answer
+/// through their `index` postings, unsealed ones by a linear scan.
+fn keyed_sections<R: SegmentRow, K: Hash + Eq>(
+    sections: &[&Section<R>],
+    k: K,
+    index: impl Fn(&Section<R>) -> &Postings<K>,
+    key: impl Fn(&R) -> Option<K>,
+) -> Vec<R> {
     let mut out: Vec<(Timestamp, Seq, R)> = Vec::new();
     for sec in sections {
-        match &sec.index {
-            Some(ix) => {
-                if let Some(ids) = ix.by_device.get(&d) {
-                    out.extend(ids.iter().map(|&i| {
-                        let r = sec.rows[i as usize];
-                        (r.time(), sec.seqs[i as usize], r)
-                    }));
-                }
+        if sec.sealed {
+            if let Some(ids) = index(sec).get(&k) {
+                out.extend(ids.iter().map(|&i| {
+                    let r = sec.rows[i as usize];
+                    (r.time(), sec.seqs[i as usize], r)
+                }));
             }
-            None => out.extend(
+        } else {
+            out.extend(
                 sec.rows
                     .iter()
                     .zip(&sec.seqs)
-                    .filter(|(r, _)| r.device() == Some(d))
+                    .filter(|(r, _)| key(r).as_ref() == Some(&k))
                     .map(|(&r, &s)| (r.time(), s, r)),
-            ),
+            );
         }
     }
     out.sort_unstable_by_key(|(t, s, _)| (*t, *s));
@@ -944,27 +976,24 @@ fn snapshot_at_sections<R: SegmentRow>(sections: &[&Section<R>], at: Timestamp) 
         if sec.min_t > at {
             continue;
         }
-        match &sec.index {
-            Some(ix) => {
-                let whole = sec.max_t <= at;
-                for (&o, ids) in &ix.by_object {
-                    let cut = if whole {
-                        ids.len()
-                    } else {
-                        ids.partition_point(|&i| sec.rows[i as usize].time() <= at)
-                    };
-                    if let Some(&i) = ids[..cut].last() {
-                        let (t, s) = (sec.rows[i as usize].time(), sec.seqs[i as usize]);
-                        upd(&mut latest, o, t, s, sec.rows[i as usize]);
-                    }
+        if sec.sealed {
+            let whole = sec.max_t <= at;
+            for (&o, ids) in sec.by_object() {
+                let cut = if whole {
+                    ids.len()
+                } else {
+                    ids.partition_point(|&i| sec.rows[i as usize].time() <= at)
+                };
+                if let Some(&i) = ids[..cut].last() {
+                    let (t, s) = (sec.rows[i as usize].time(), sec.seqs[i as usize]);
+                    upd(&mut latest, o, t, s, sec.rows[i as usize]);
                 }
             }
-            None => {
-                for (r, &s) in sec.rows.iter().zip(&sec.seqs) {
-                    if r.time() <= at {
-                        if let Some(o) = r.object() {
-                            upd(&mut latest, o, r.time(), s, *r);
-                        }
+        } else {
+            for (r, &s) in sec.rows.iter().zip(&sec.seqs) {
+                if r.time() <= at {
+                    if let Some(o) = r.object() {
+                        upd(&mut latest, o, r.time(), s, *r);
                     }
                 }
             }
@@ -983,18 +1012,17 @@ fn range_query_sections<R: SegmentRow>(
 ) -> Vec<R> {
     let mut out: Vec<(Seq, R)> = Vec::new();
     for sec in sections {
-        match &sec.index {
-            Some(ix) => {
-                if let Some(g) = ix.spatial.get(&floor) {
-                    for i in g.query_bbox(query) {
-                        let r = sec.rows[i as usize];
-                        if matches!(r.floor_point(), Some((_, p)) if query.contains_point(p)) {
-                            out.push((sec.seqs[i as usize], r));
-                        }
+        if sec.sealed {
+            if let Some(g) = sec.floor_grid(floor) {
+                for i in g.query_bbox(query) {
+                    let r = sec.rows[i as usize];
+                    if matches!(r.floor_point(), Some((_, p)) if query.contains_point(p)) {
+                        out.push((sec.seqs[i as usize], r));
                     }
                 }
             }
-            None => out.extend(
+        } else {
+            out.extend(
                 sec.rows
                     .iter()
                     .zip(&sec.seqs)
@@ -1003,7 +1031,7 @@ fn range_query_sections<R: SegmentRow>(
                                  Some((f, p)) if f == floor && query.contains_point(p))
                     })
                     .map(|(&r, &s)| (s, r)),
-            ),
+            );
         }
     }
     out.sort_unstable_by_key(|(s, _)| *s);
@@ -1025,44 +1053,42 @@ fn knn_sections<R: SegmentRow>(
     }
     let mut scored: Vec<(f64, Seq, R)> = Vec::new();
     for sec in sections {
-        match &sec.index {
-            Some(ix) => {
-                let Some(g) = ix.spatial.get(&floor) else {
-                    continue;
-                };
-                let dom = g.domain();
-                let max_radius = dom.dist_to_point(p) + dom.width() + dom.height() + 1.0;
-                let mut radius = g.cell_size().max(f64::MIN_POSITIVE);
-                let mut candidates: Vec<u32>;
-                loop {
-                    candidates = g.query_radius(p, radius.min(max_radius));
-                    if candidates.len() >= k || radius >= max_radius {
-                        break;
-                    }
-                    radius *= 2.0;
-                }
-                // A per-section top-k is enough: the global top-k under
-                // the (dist, seq) total order is the top-k of the
-                // per-section top-ks.
-                let mut local: Vec<(f64, Seq, R)> = candidates
-                    .into_iter()
-                    .filter_map(|i| {
-                        let r = sec.rows[i as usize];
-                        r.floor_point()
-                            .map(|(_, q)| (q.dist(p), sec.seqs[i as usize], r))
-                    })
-                    .collect();
-                local.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                local.truncate(k);
-                scored.extend(local);
-            }
-            None => scored.extend(sec.rows.iter().zip(&sec.seqs).filter_map(|(r, &s)| {
-                match r.floor_point() {
+        if !sec.sealed {
+            scored.extend(sec.rows.iter().zip(&sec.seqs).filter_map(
+                |(r, &s)| match r.floor_point() {
                     Some((f, q)) if f == floor => Some((q.dist(p), s, *r)),
                     _ => None,
-                }
-            })),
+                },
+            ));
+            continue;
         }
+        let Some(g) = sec.floor_grid(floor) else {
+            continue;
+        };
+        let dom = g.domain();
+        let max_radius = dom.dist_to_point(p) + dom.width() + dom.height() + 1.0;
+        let mut radius = g.cell_size().max(f64::MIN_POSITIVE);
+        let mut candidates: Vec<u32>;
+        loop {
+            candidates = g.query_radius(p, radius.min(max_radius));
+            if candidates.len() >= k || radius >= max_radius {
+                break;
+            }
+            radius *= 2.0;
+        }
+        // A per-section top-k is enough: the global top-k under the
+        // (dist, seq) total order is the top-k of the per-section top-ks.
+        let mut local: Vec<(f64, Seq, R)> = candidates
+            .into_iter()
+            .filter_map(|i| {
+                let r = sec.rows[i as usize];
+                r.floor_point()
+                    .map(|(_, q)| (q.dist(p), sec.seqs[i as usize], r))
+            })
+            .collect();
+        local.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        local.truncate(k);
+        scored.extend(local);
     }
     scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     scored.truncate(k);
@@ -1315,9 +1341,10 @@ struct SegTable<R: SegmentRow> {
     /// the next sequence number. Held only to clone a segment-pointer list
     /// and swap the snapshot — never while rows are copied or indexed.
     writer: Mutex<Seq>,
-    /// Build per-floor grids at seal time (trajectory table only — the
-    /// other tables answer no spatial queries).
-    build_spatial: bool,
+    /// Track each section's floor set in its meta for range/kNN pruning
+    /// (trajectory table only — the other tables answer no spatial
+    /// queries).
+    track_floors: bool,
     /// Spill tier shared state; `None` keeps the table all-resident.
     spill: Option<Arc<SpillShared>>,
     /// Decoded spilled segments, shared with in-flight queries.
@@ -1325,11 +1352,11 @@ struct SegTable<R: SegmentRow> {
 }
 
 impl<R: SegmentRow> SegTable<R> {
-    fn new(build_spatial: bool, spill: Option<Arc<SpillShared>>) -> Self {
+    fn new(track_floors: bool, spill: Option<Arc<SpillShared>>) -> Self {
         SegTable {
             cell: SnapshotCell::new(TableSnapshot::default()),
             writer: Mutex::new(0),
-            build_spatial,
+            track_floors,
             spill,
             cache: Mutex::new(ClockCache::default()),
         }
@@ -1492,8 +1519,8 @@ impl<R: SegmentRow> SegTable<R> {
                     .expect("unsealed segments are resident") // audit: allow(R4) invariant: unsealed segments are never spilled, so they are resident
             })
             .collect();
-        let merged = build_sealed(parts, self.build_spatial);
-        let replacement = Segment::resident(merged, true, self.build_spatial);
+        let merged = build_sealed(parts);
+        let replacement = Segment::resident(merged, true, self.track_floors);
         self.replace_maybe_spilled(minis, replacement, global_decoded)
     }
 
@@ -1505,7 +1532,7 @@ impl<R: SegmentRow> SegTable<R> {
     /// merged size fits a row budget of `compact_segments × seal_rows`, and
     /// leaves graduated (half-budget-or-larger) segments alone. Every row
     /// is therefore merged O(log) times and no single pass builds more than
-    /// one budget's worth of indexes — re-merging the whole prefix on every
+    /// one budget's worth of rows — re-merging the whole prefix on every
     /// pass would be quadratic, and on small hosts that CPU draw evicts the
     /// query threads and shows up directly as read tail latency. Under
     /// `force` the whole sealed prefix folds into one segment — except with
@@ -1605,8 +1632,8 @@ impl<R: SegmentRow> SegTable<R> {
                 ),
             }
         }
-        let merged = build_sealed(sections, self.build_spatial);
-        let replacement = Segment::resident(merged, true, self.build_spatial);
+        let merged = build_sealed(sections);
+        let replacement = Segment::resident(merged, true, self.track_floors);
         Ok(self.replace_maybe_spilled(group, replacement, global_decoded))
     }
 
@@ -1665,10 +1692,10 @@ impl<R: SegmentRow> SegTable<R> {
     }
 
     /// The decoded rows of a spilled segment: from the cache, or — on a
-    /// miss — read, checksum-verified, and deterministically rebuilt
-    /// from its file. The stored `(t, seq)` order and the indexes
-    /// derived from it make the paged-in copy answer bit-identically to
-    /// the resident original.
+    /// miss — read, checksum-verified, and decoded from its file. No
+    /// index is rebuilt here: the stored `(t, seq)` order makes the
+    /// paged-in copy answer bit-identically to the resident original,
+    /// and each index is built again on first use.
     fn page_in(
         &self,
         seg: &Segment<R>,
@@ -1686,7 +1713,7 @@ impl<R: SegmentRow> SegTable<R> {
         let decoded = decode_segment::<R>(Bytes::from(bytes))?;
         let sections: Vec<Section<R>> = decoded
             .into_iter()
-            .map(|s| Section::from_sorted(s.run, s.rows, s.seqs, self.build_spatial))
+            .map(|s| Section::from_sorted(s.run, s.rows, s.seqs))
             .collect();
         debug_assert_eq!(
             sections.len(),
@@ -1795,7 +1822,7 @@ impl<R: SegmentRow> SegTable<R> {
 pub struct SegmentConfig {
     /// Seal the pending unsealed segments once they hold this many rows.
     /// The writer whose append crosses this seals inline, so full
-    /// backlogs seal promptly regardless of `tick` and index work is
+    /// backlogs seal promptly regardless of `tick` and sort work is
     /// paced by ingestion rather than bursting on the background thread.
     pub seal_rows: usize,
     /// … or once this many unsealed segments have accumulated. Unsealed
@@ -1982,7 +2009,7 @@ impl SegInner {
     }
 
     /// Append one batch; when the unsealed backlog crosses `seal_rows`,
-    /// the *writer* seals it inline. This paces index work to ingestion —
+    /// the *writer* seals it inline. This paces sort work to ingestion —
     /// the same place the locked backend pays it, but without a read lock
     /// anywhere — instead of letting it burst on the background thread.
     /// On one-core hosts a background burst evicts the query threads and
@@ -3012,6 +3039,266 @@ mod tests {
         assert_eq!(*cells[0].pin(), 999);
         // The pin taken before the publish still reads the old value.
         assert_eq!(*pins[0], 0);
+    }
+
+    // ── lazy section indexes ──────────────────────────────────────────
+
+    /// One query's answer as `(row, distance bits)` pairs; the distance is
+    /// 0 for every query but kNN, whose distances must match bit for bit.
+    type Answer<R> = Vec<(R, u64)>;
+    type Query<R> = Box<dyn Fn(&Section<R>) -> Answer<R> + Sync>;
+
+    fn rows_only<R>(rows: Vec<R>) -> Answer<R> {
+        rows.into_iter().map(|r| (r, 0)).collect()
+    }
+
+    /// 300 trajectory rows in arrival order: five objects on two floors,
+    /// every tenth row partition-located (no point), timestamps coarse
+    /// enough that many rows tie on `t` and only seq orders them.
+    fn lazy_rows() -> (Vec<TrajectorySample>, Vec<Seq>) {
+        let mut x = 0x2545_f491u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let rows: Vec<TrajectorySample> = (0..300u64)
+            .map(|i| {
+                let (o, f, t) = ((next() % 5) as u32, (next() % 2) as u32, next() % 40);
+                if i % 10 == 0 {
+                    TrajectorySample {
+                        object: ObjectId(o),
+                        loc: vita_indoor::Loc::partition(
+                            BuildingId(0),
+                            FloorId(f),
+                            vita_indoor::PartitionId(3),
+                        ),
+                        t: Timestamp(t),
+                    }
+                } else {
+                    let (px, py) = ((next() % 400) as f64 / 8.0, (next() % 400) as f64 / 8.0);
+                    ts(o, f, px, py, t)
+                }
+            })
+            .collect();
+        let seqs = (100..100 + rows.len() as Seq).collect();
+        (rows, seqs)
+    }
+
+    /// Every index-backed trajectory query: traces and snapshots
+    /// (by-object index), then ranges and kNN (per-floor grids) — floor 0
+    /// and floor 1 apart, so either grid can be built first, and last
+    /// both floors plus a floor with no rows at all.
+    fn trajectory_queries() -> Vec<Query<TrajectorySample>> {
+        fn spatial(s: &Section<TrajectorySample>, f: u32) -> Answer<TrajectorySample> {
+            let q = Aabb::new(Point::new(5.0, 10.0), Point::new(30.0, 42.5));
+            let mut out = rows_only(range_query_sections(&[s], FloorId(f), &q));
+            for (p, k) in [(Point::new(20.0, 20.0), 7), (Point::new(-90.0, 300.0), 40)] {
+                let hits = knn_sections(&[s], FloorId(f), p, k);
+                out.extend(hits.into_iter().map(|(r, d)| (r, d.to_bits())));
+            }
+            out
+        }
+        vec![
+            Box::new(|s| {
+                rows_only(
+                    (0..6)
+                        .flat_map(|o| of_object_sections(&[s], ObjectId(o)))
+                        .collect(),
+                )
+            }),
+            Box::new(|s| {
+                rows_only(
+                    [0, 7, 20, 39, 100]
+                        .into_iter()
+                        .flat_map(|t| snapshot_at_sections(&[s], Timestamp(t)))
+                        .collect(),
+                )
+            }),
+            Box::new(|s| spatial(s, 0)),
+            Box::new(|s| spatial(s, 1)),
+            Box::new(|s| (0..3).flat_map(|f| spatial(s, f)).collect()),
+        ]
+    }
+
+    /// The same rows' device-indexed queries, on an RSSI section.
+    fn rssi_queries() -> Vec<Query<RssiMeasurement>> {
+        vec![
+            Box::new(|s| {
+                rows_only(
+                    (0..4)
+                        .flat_map(|d| of_device_sections(&[s], DeviceId(d)))
+                        .collect(),
+                )
+            }),
+            Box::new(|s| {
+                rows_only(
+                    (0..6)
+                        .flat_map(|o| of_object_sections(&[s], ObjectId(o)))
+                        .collect(),
+                )
+            }),
+            Box::new(|s| rows_only(snapshot_at_sections(&[s], Timestamp(25)))),
+        ]
+    }
+
+    fn rssi_of(rows: &[TrajectorySample]) -> Vec<RssiMeasurement> {
+        rows.iter()
+            .enumerate()
+            .map(|(i, r)| RssiMeasurement {
+                object: r.object,
+                device: DeviceId((i % 4) as u32),
+                rssi: -40.0 - (i % 17) as f64,
+                t: r.t,
+            })
+            .collect()
+    }
+
+    /// Every ordering of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for p in permutations(n - 1) {
+            for at in 0..=p.len() {
+                let mut q = p.clone();
+                q.insert(at, n - 1);
+                out.push(q);
+            }
+        }
+        out
+    }
+
+    /// Run `queries` against `sec` in `order`; answers come back indexed
+    /// by query, whatever order they ran in.
+    fn run_in_order<R: SegmentRow>(
+        sec: &Section<R>,
+        queries: &[Query<R>],
+        order: &[usize],
+    ) -> Vec<Answer<R>> {
+        let mut answers = vec![Vec::new(); queries.len()];
+        for &q in order {
+            answers[q] = queries[q](sec);
+        }
+        answers
+    }
+
+    fn assert_order_free<R: SegmentRow + PartialEq + fmt::Debug>(
+        rows: &[R],
+        seqs: &[Seq],
+        queries: &[Query<R>],
+    ) {
+        // The oracle: the unsealed (linear-scan) path over the same rows.
+        let scan = Section::unsealed(RunId(0), rows.to_vec(), seqs.to_vec());
+        let oracle: Vec<Answer<R>> = queries.iter().map(|q| q(&scan)).collect();
+        assert!(oracle.iter().any(|a| !a.is_empty()));
+        for order in permutations(queries.len()) {
+            let sec = Section::sealed(RunId(0), rows.to_vec(), seqs.to_vec());
+            assert_eq!(
+                run_in_order(&sec, queries, &order),
+                oracle,
+                "order {order:?}"
+            );
+            // Each index was built once; later queries reuse it.
+            assert!(std::ptr::eq(sec.by_object(), sec.by_object()));
+            assert!(std::ptr::eq(sec.by_device(), sec.by_device()));
+        }
+    }
+
+    #[test]
+    fn sealed_section_answers_identically_in_any_index_first_use_order() {
+        let (rows, seqs) = lazy_rows();
+        assert_order_free(&rows, &seqs, &trajectory_queries());
+        assert_order_free(&rssi_of(&rows), &seqs, &rssi_queries());
+        // Nothing is built before first use; a grid, once built, is reused.
+        let sec = Section::sealed(RunId(0), rows, seqs);
+        assert!(sec.index.by_object.get().is_none() && sec.index.spatial.get().is_none());
+        let g = sec.floor_grid(FloorId(0)).expect("floor 0 has points");
+        assert!(std::ptr::eq(g, sec.floor_grid(FloorId(0)).expect("built")));
+        assert!(sec.floor_grid(FloorId(2)).is_none());
+    }
+
+    #[test]
+    fn racing_first_use_of_a_section_gets_the_oracle_answer() {
+        let (rows, seqs) = lazy_rows();
+        let queries = trajectory_queries();
+        let scan = Section::unsealed(RunId(0), rows.clone(), seqs.clone());
+        let oracle: Vec<Answer<TrajectorySample>> = queries.iter().map(|q| q(&scan)).collect();
+        let forward: Vec<usize> = (0..queries.len()).collect();
+        let backward: Vec<usize> = forward.iter().rev().copied().collect();
+        // Both threads in the same order (each first use contended), then
+        // in opposite orders (different indexes built concurrently).
+        for round in 0..64 {
+            let other = if round % 2 == 0 { &forward } else { &backward };
+            let sec = Section::sealed(RunId(0), rows.clone(), seqs.clone());
+            let start = std::sync::Barrier::new(2);
+            let run = |order: &[usize]| {
+                start.wait();
+                run_in_order(&sec, &queries, order)
+            };
+            let (a, b) = std::thread::scope(|scope| {
+                let a = scope.spawn(|| run(&forward));
+                let b = scope.spawn(|| run(other));
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert_eq!(a, oracle, "round {round}");
+            assert_eq!(b, oracle, "round {round}");
+        }
+    }
+
+    #[test]
+    fn paged_in_segment_serves_a_trace_after_a_window_bit_identically() {
+        let cfg = SegmentConfig {
+            seal_rows: 16,
+            ..SegmentConfig::default()
+        };
+        let baseline = SegmentedRepository::build(cfg, None);
+        fill(&baseline);
+        baseline.seal_now();
+        let repo = SegmentedRepository::with_spill(cfg, tiny_spill("lazy", 30));
+        fill(&repo);
+        repo.seal_now();
+        let table = &repo.inner.trajectories;
+        let snap = table.pin();
+        let spilled: Vec<&Arc<Segment<TrajectorySample>>> =
+            snap.segments.iter().filter(|s| s.is_spilled()).collect();
+        assert!(!spilled.is_empty(), "{:?}", repo.stats());
+        for seg in spilled {
+            let data = table.page_in(seg, usize::MAX).unwrap();
+            let secs: Vec<&Section<TrajectorySample>> = data.sections.iter().collect();
+            let window = time_window_sections(&secs, Timestamp(0), Timestamp(u64::MAX));
+            assert_eq!(window.len(), seg.len);
+            // A window is answered from the stored order: no index built.
+            assert!(data.sections.iter().all(|s| s.sealed
+                && s.index.by_object.get().is_none()
+                && s.index.spatial.get().is_none()));
+            for o in 0..4 {
+                let trace = of_object_sections(&secs, ObjectId(o));
+                let mut want: Vec<(Timestamp, Seq, TrajectorySample)> = data
+                    .sections
+                    .iter()
+                    .flat_map(|s| s.rows.iter().zip(&s.seqs))
+                    .filter(|(r, _)| r.object == ObjectId(o))
+                    .map(|(r, &q)| (r.t, q, *r))
+                    .collect();
+                want.sort_unstable_by_key(|(t, q, _)| (*t, *q));
+                let want: Vec<TrajectorySample> = want.into_iter().map(|(_, _, r)| r).collect();
+                assert_eq!(trace, want, "object {o}");
+            }
+        }
+        // The same through the public API: window first, then traces.
+        assert_eq!(
+            repo.trajectories_time_window(RunScope::All, Timestamp(0), Timestamp(2000)),
+            baseline.trajectories_time_window(RunScope::All, Timestamp(0), Timestamp(2000))
+        );
+        for o in 0..4 {
+            assert_eq!(
+                repo.object_trace(RunScope::All, ObjectId(o)),
+                baseline.object_trace(RunScope::All, ObjectId(o))
+            );
+        }
     }
 
     fn spill_dir(tag: &str) -> PathBuf {

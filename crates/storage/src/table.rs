@@ -455,16 +455,7 @@ fn build_floor_spatial(rows: &[TrajectorySample], floor: FloorId) -> Option<Grid
             }
         }
     }
-    if pts.is_empty() {
-        return None;
-    }
-    let domain = Aabb::from_points(&pts.iter().map(|(_, p)| *p).collect::<Vec<_>>()).inflated(1.0);
-    let cell = (domain.width().max(domain.height()) / 32.0).max(0.5);
-    let mut g = GridIndex::new(domain, cell);
-    for (id, p) in pts {
-        g.insert_point(id, p);
-    }
-    Some(g)
+    GridIndex::over_points(&pts)
 }
 
 /// A table of raw RSSI measurements `(o_id, d_id, rssi, t)`, run-tagged

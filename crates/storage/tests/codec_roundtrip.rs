@@ -9,7 +9,10 @@
 //! * random truncation and byte corruption of valid files return a
 //!   [`CodecError`] — never a panic, never silently wrong data (v2 files
 //!   carry a trailing checksum, so payload corruption cannot slip
-//!   through).
+//!   through);
+//! * the segment (spill) decoder keeps every validation of the framing:
+//!   a bad loc-kind byte behind a valid checksum, and a section header
+//!   claiming more rows than the file holds, fail with their own errors.
 
 use proptest::prelude::*;
 
@@ -20,9 +23,9 @@ use vita_mobility::TrajectorySample;
 use vita_positioning::{Fix, ProximityRecord};
 use vita_rssi::RssiMeasurement;
 use vita_storage::{
-    decode_fixes_runs, decode_proximity_runs, decode_rssi_runs, decode_trajectories,
-    decode_trajectories_runs, encode_fixes_runs, encode_proximity_runs, encode_rssi_runs,
-    encode_trajectories_runs, CodecError,
+    decode_fixes_runs, decode_proximity_runs, decode_rssi_runs, decode_segment,
+    decode_trajectories, decode_trajectories_runs, encode_fixes_runs, encode_proximity_runs,
+    encode_rssi_runs, encode_segment, encode_trajectories_runs, CodecError,
 };
 
 // ---------------------------------------------------------------- strategies
@@ -151,6 +154,36 @@ fn rssi_bytes(m: &RssiMeasurement) -> Vec<u8> {
     out.extend_from_slice(&m.rssi.to_le_bytes());
     out.extend_from_slice(&m.t.0.to_le_bytes());
     out
+}
+
+fn fix_bytes(f: &Fix) -> Vec<u8> {
+    let mut out = f.object.0.to_le_bytes().to_vec();
+    out.extend_from_slice(&loc_bytes(&f.loc));
+    out.extend_from_slice(&f.t.0.to_le_bytes());
+    out
+}
+
+fn prox_bytes(r: &ProximityRecord) -> Vec<u8> {
+    let mut out = r.object.0.to_le_bytes().to_vec();
+    out.extend_from_slice(&r.device.0.to_le_bytes());
+    out.extend_from_slice(&r.ts.0.to_le_bytes());
+    out.extend_from_slice(&r.te.0.to_le_bytes());
+    out
+}
+
+/// FNV-1a 64 over `bytes` — the v2 trailer, recomputed here so a test can
+/// corrupt a file's payload and still present a valid checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Rewrite a v2 file's trailing checksum to match its (edited) body.
+fn reseal(bytes: &mut [u8]) {
+    let body = bytes.len() - 8;
+    let sum = fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
 }
 
 // ------------------------------------------------------------------- proptest
@@ -386,4 +419,95 @@ fn v1_fixture_with_corrupt_loc_kind_fails_loudly() {
         decode_trajectories_runs(Bytes::from(bytes)).unwrap_err(),
         CodecError::BadLocKind(7)
     );
+}
+
+// ------------------------------------------------------- segment validation
+
+const SEGMENT_GOLDEN: &[u8] = include_bytes!("fixtures/segment_v2_trajectories.bin");
+/// v2 header: magic (4) + version (1) + tag (1) + section count (4).
+const V2_HEADER: usize = 10;
+
+/// A corrupt loc-kind byte in a segment file is `BadLocKind` even behind a
+/// recomputed (valid) checksum: the row parse, not the checksum, rejects
+/// it.
+#[test]
+fn segment_with_corrupt_loc_kind_and_valid_checksum_is_bad_loc_kind() {
+    let mut bytes = SEGMENT_GOLDEN.to_vec();
+    // First row's kind byte: header + section header (run 4, count 8) +
+    // object (4) + building (4) + floor (4).
+    let kind = V2_HEADER + 12 + 4 + 4 + 4;
+    assert_eq!(bytes[kind], 0, "fixture's first row is a point");
+    bytes[kind] = 7;
+    reseal(&mut bytes);
+    assert_eq!(
+        decode_segment::<TrajectorySample>(Bytes::from(bytes)).unwrap_err(),
+        CodecError::BadLocKind(7)
+    );
+}
+
+/// A section header claiming more rows than the payload holds is
+/// `Truncated`, found from the header before any row is read. The claims
+/// are far past what the host could allocate (2^40 rows is ~50 TB of
+/// decoded samples), so sizing a buffer by the claim would abort the test
+/// process instead of returning; one that overflows `count × row width`
+/// is `CountOverflow`.
+#[test]
+fn segment_section_claiming_more_rows_than_payload_is_truncated() {
+    let count_at = V2_HEADER + 4;
+    for (claim, want) in [
+        (1000u64, CodecError::Truncated),
+        (1 << 40, CodecError::Truncated),
+        (u64::MAX / 2, CodecError::CountOverflow),
+    ] {
+        let mut bytes = SEGMENT_GOLDEN.to_vec();
+        bytes[count_at..count_at + 8].copy_from_slice(&claim.to_le_bytes());
+        reseal(&mut bytes);
+        assert_eq!(
+            decode_segment::<TrajectorySample>(Bytes::from(bytes)).unwrap_err(),
+            want,
+            "claim of {claim} rows"
+        );
+    }
+}
+
+/// Every golden fixture still decodes, and re-encodes byte-identically:
+/// the segment fixture through `encode_segment`, the v1 fixtures through
+/// the v1 hand-encoder (the current writer only writes v2, whose
+/// round trip must return the same rows).
+#[test]
+fn golden_fixtures_reencode_byte_identically() {
+    let sections = decode_segment::<TrajectorySample>(Bytes::from_static(SEGMENT_GOLDEN)).unwrap();
+    let borrowed: Vec<(RunId, &[TrajectorySample], &[u64])> = sections
+        .iter()
+        .map(|s| (s.run, s.rows.as_slice(), s.seqs.as_slice()))
+        .collect();
+    assert_eq!(encode_segment(&borrowed).as_ref(), SEGMENT_GOLDEN);
+
+    let v1 = include_bytes!("fixtures/v1_trajectories.bin");
+    let runs = decode_trajectories_runs(Bytes::from_static(v1)).unwrap();
+    let rows: Vec<Vec<u8>> = runs[0].1.iter().map(sample_bytes).collect();
+    assert_eq!(encode_v1(1, &rows).as_ref(), v1);
+    let v2 = encode_trajectories_runs(&borrow(&runs));
+    assert_eq!(decode_trajectories_runs(v2).unwrap(), runs);
+
+    let v1 = include_bytes!("fixtures/v1_rssi.bin");
+    let runs = decode_rssi_runs(Bytes::from_static(v1)).unwrap();
+    let rows: Vec<Vec<u8>> = runs[0].1.iter().map(rssi_bytes).collect();
+    assert_eq!(encode_v1(2, &rows).as_ref(), v1);
+    let v2 = encode_rssi_runs(&borrow(&runs));
+    assert_eq!(decode_rssi_runs(v2).unwrap(), runs);
+
+    let v1 = include_bytes!("fixtures/v1_fixes.bin");
+    let runs = decode_fixes_runs(Bytes::from_static(v1)).unwrap();
+    let rows: Vec<Vec<u8>> = runs[0].1.iter().map(fix_bytes).collect();
+    assert_eq!(encode_v1(3, &rows).as_ref(), v1);
+    let v2 = encode_fixes_runs(&borrow(&runs));
+    assert_eq!(decode_fixes_runs(v2).unwrap(), runs);
+
+    let v1 = include_bytes!("fixtures/v1_proximity.bin");
+    let runs = decode_proximity_runs(Bytes::from_static(v1)).unwrap();
+    let rows: Vec<Vec<u8>> = runs[0].1.iter().map(prox_bytes).collect();
+    assert_eq!(encode_v1(4, &rows).as_ref(), v1);
+    let v2 = encode_proximity_runs(&borrow(&runs));
+    assert_eq!(decode_proximity_runs(v2).unwrap(), runs);
 }
